@@ -6,6 +6,8 @@ All attacks operate on a private copy of the input graph, flip signs only
 
 from __future__ import annotations
 
+import heapq
+import logging
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -25,6 +27,8 @@ STATUS_ALREADY_MINIMAL = "already_minimal"
 
 TRACE_CSV_SCHEMA = "attack-trace/1"
 TRACE_CSV_COLUMNS = "step,u,v,old_sign,p_uv,delta_trace,d3"
+
+log = logging.getLogger(__name__)
 
 
 def _as_fraction(x: Fraction | float | int | str) -> Fraction:
@@ -115,17 +119,26 @@ class AttackTrace:
             )
 
 
+def _adjacency(g: SignedGraph) -> list[dict[int, int]]:
+    """Per-node neighbour -> sign dicts, bound once. Flips mutate these
+    dicts in place, so the list stays live for the graph's lifetime."""
+    return [g.adjacency(x) for x in range(g.node_count)]
+
+
+def _scored_candidates(
+    adj: list[dict[int, int]], table: TwoPathTable
+) -> list[tuple[int, int, int]]:
+    """(-a_uv * p_uv, u, v) for every edge whose flip strictly lowers
+    tr(A^3), i.e. a_uv * p_uv > 0 (which excludes p_uv = 0)."""
+    return [(-s, u, v) for (u, v), p in table.items() if (s := adj[u][v] * p) > 0]
+
+
 def select_candidates(g: SignedGraph, table: TwoPathTable) -> set[tuple[int, int]]:
     """Edges whose flip strictly lowers tr(A^3): those with a_uv * p_uv > 0.
 
     Zero two-path sums are excluded — flipping them changes nothing.
     """
-    out: set[tuple[int, int]] = set()
-    adj = g._adj
-    for (u, v), p in table.items():
-        if p != 0 and adj[u][v] * p > 0:
-            out.add((u, v))
-    return out
+    return {(u, v) for _, u, v in _scored_candidates(_adjacency(g), table)}
 
 
 class _TraceState:
@@ -168,51 +181,100 @@ class _TraceState:
         )
 
 
-def _best_candidate(
-    g: SignedGraph, table: TwoPathTable, rng: random.Random | None
-) -> tuple[int, int, int] | None:
-    """Candidate with the largest |p_uv|, or None if there are none.
+class _CandidateHeap:
+    """Lazy max-heap of flip candidates keyed (-a_uv * p_uv, u, v).
 
-    Ties go to the smallest (u, v) pair, or to a seeded random pick when
-    a shuffling rng is supplied. Returns (u, v, p_uv).
+    Every edge with a positive score has an entry keyed by its live score;
+    any other entry is stale and is dropped when popped. Flipping {u,v}
+    changes only the score of {u,v} itself and of {w,u}, {w,v} for each
+    common neighbour w (the entries `TwoPathTable.apply_flip` patches), so
+    `flip` re-scores just those: the lazy greedy of CELF (Leskovec et al.,
+    KDD 2007). Heap order is the greedy tie rule, smallest (u, v) at the
+    maximal score.
     """
-    adj = g._adj
-    best_score = 0
-    best: tuple[int, int] | None = None
-    ties: list[tuple[int, int]] = []
-    for (u, v), p in table.items():
-        score = adj[u][v] * p
-        if score > best_score:
-            best_score = score
-            best = (u, v)
-            if rng is not None:
-                ties = [best]
-        elif score == best_score and score > 0:
-            if rng is not None:
-                ties.append((u, v))
-            elif (u, v) < best:  # type: ignore[operator]
-                best = (u, v)
-    if best is None:
+
+    def __init__(self, adj: list[dict[int, int]], table: TwoPathTable):
+        self.adj = adj
+        self.table = table
+        self.heap = _scored_candidates(adj, table)
+        heapq.heapify(self.heap)
+        self.pops = 0
+        self.stale = 0
+
+    def _push(self, u: int, v: int) -> None:
+        score = self.adj[u][v] * self.table.get(u, v)
+        if score > 0:
+            heapq.heappush(self.heap, (-score, u, v))
+
+    def _pop(self) -> tuple[int, int, int] | None:
+        """Pop the top entry as (u, v, p_uv), or None if it is stale."""
+        neg, u, v = heapq.heappop(self.heap)
+        self.pops += 1
+        p = self.table.get(u, v)
+        if self.adj[u][v] * p == -neg:
+            return u, v, p
+        self.stale += 1
         return None
-    if rng is not None and len(ties) > 1:
-        best = rng.choice(sorted(ties))
-    return best[0], best[1], best_score * adj[best[0]][best[1]]
+
+    def flip(self, u: int, v: int) -> int:
+        """Flip {u,v} through the table, re-score every entry the flip
+        changed, and return the pre-flip sign."""
+        a = self.table.apply_flip(u, v)
+        self._push(u, v)
+        for w in self.adj[u].keys() & self.adj[v].keys():
+            self._push(*((w, u) if w < u else (u, w)))
+            self._push(*((w, v) if w < v else (v, w)))
+        return a
+
+    def pop_best(self, rng: random.Random | None) -> tuple[int, int, int] | None:
+        """The candidate with the largest a_uv * p_uv as (u, v, p_uv), or
+        None if there are none.
+
+        Ties go to the smallest (u, v) pair or, given a shuffling rng, to
+        rng.choice(sorted(ties)) over every edge at the top score; the
+        edges not chosen go back on the heap.
+        """
+        heap = self.heap
+        best = None
+        while heap and best is None:
+            best = self._pop()
+        if best is None or rng is None:
+            return best
+        u, v, p = best
+        key = -self.adj[u][v] * p
+        # One edge can sit in the heap twice at the same score: dedupe.
+        ties = {(u, v): p}
+        while heap and heap[0][0] == key:
+            entry = self._pop()
+            if entry is not None:
+                ties[entry[0], entry[1]] = entry[2]
+        if len(ties) > 1:
+            u, v = rng.choice(sorted(ties))
+            for x, y in ties:
+                if (x, y) != (u, v):
+                    heapq.heappush(heap, (key, x, y))
+        return u, v, ties[u, v]
+
+    def pop_batch(self, k: int) -> list[tuple[int, int, int]]:
+        """The top k distinct candidates as (u, v, p_uv), best first."""
+        heap = self.heap
+        batch: dict[tuple[int, int], int] = {}
+        while heap and len(batch) < k:
+            entry = self._pop()
+            if entry is not None:
+                batch.setdefault((entry[0], entry[1]), entry[2])
+        return [(u, v, p) for (u, v), p in batch.items()]
 
 
-def _epoch_ranking(
-    g: SignedGraph, table: TwoPathTable, rng: random.Random | None
+def _shuffled_batch(
+    adj: list[dict[int, int]], table: TwoPathTable, rng: random.Random, k: int
 ) -> list[tuple[int, int, int]]:
-    """Candidates sorted best-first by |p_uv| as of the current table."""
-    adj = g._adj
-    cands = [
-        (u, v, p) for (u, v), p in table.items() if p != 0 and adj[u][v] * p > 0
-    ]
-    cands.sort(key=lambda t: (-abs(t[2]), t[0], t[1]))
-    if rng is not None:
-        # Shuffle inside equal-|p| groups only; ordering between groups
-        # is already settled.
-        cands.sort(key=lambda t: (-abs(t[2]), rng.random()))
-    return cands
+    """Top k candidates as (u, v, p_uv), with equal scores in a seeded
+    random order. The rng draws once per candidate, in (-score, u, v)
+    order, so this case keeps a full sort instead of the heap."""
+    cands = sorted(_scored_candidates(adj, table))
+    cands.sort(key=lambda t: (t[0], rng.random()))
+    return [(u, v, -neg * adj[u][v]) for neg, u, v in cands[:k]]
 
 
 def run_balance_attack(
@@ -242,28 +304,42 @@ def run_balance_attack(
         # candidate would need a balanced triangle behind it).
         return poisoned, state.finish(cfg.mode, budget, STATUS_ALREADY_MINIMAL)
 
+    adj = _adjacency(poisoned)
+    shuffled_batches = cfg.mode == MODE_BALANCE_BATCHED and rng is not None
+    heap = None if shuffled_batches else _CandidateHeap(adj, table)
     status = STATUS_BUDGET_EXHAUSTED
     if cfg.mode == MODE_BALANCE_SEQUENTIAL:
         while len(state.records) < budget:
-            pick = _best_candidate(poisoned, table, rng)
+            pick = heap.pop_best(rng)
             if pick is None:
                 status = STATUS_NO_CANDIDATES
                 break
             u, v, p = pick
-            a = table.apply_flip(u, v)
+            a = heap.flip(u, v)
             state.record(u, v, a, p, -12 * a * p)
     else:
+        flip = table.apply_flip if heap is None else heap.flip
         while len(state.records) < budget:
-            ranking = _epoch_ranking(poisoned, table, rng)
-            if not ranking:
+            take = min(cfg.batch_size, budget - len(state.records))
+            if heap is None:
+                batch = _shuffled_batch(adj, table, rng, take)
+            else:
+                batch = heap.pop_batch(take)
+            if not batch:
                 status = STATUS_NO_CANDIDATES
                 break
-            for u, v, p_sel in ranking[: budget - len(state.records)][: cfg.batch_size]:
+            for u, v, p_sel in batch:
                 # Selection used the frozen epoch ranking; the realized
                 # delta comes from the live table so the trace stays exact.
                 p_now = table.get(u, v)
-                a = table.apply_flip(u, v)
+                a = flip(u, v)
                 state.record(u, v, a, p_sel, -12 * a * p_now)
+    if heap is not None:
+        log.debug(
+            "%s selection: %d heap pops, %d of them stale (%.1f%%), %d flips",
+            cfg.mode, heap.pops, heap.stale, 100 * heap.stale / max(heap.pops, 1),
+            len(state.records),
+        )
     return poisoned, state.finish(cfg.mode, budget, status)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import IO, Iterable, Iterator
 
 _SIGN_TOKENS = {"+1": 1, "1": 1, "+": 1, "-1": -1, "-": -1}
@@ -185,12 +186,20 @@ class LoadStats:
     neg_edges: int = 0
 
 
-def _parse_number(text: str) -> int | float:
+def _parse_number(text: str) -> int | Fraction:
+    """Exact value of a rating field. ValueError on text that is no
+    number; ParseError on nan or an infinity, which would otherwise sum to
+    a non-finite total and land on a sign."""
     text = text.strip()
     try:
         return int(text)
     except ValueError:
-        return float(text)  # raises ValueError on garbage
+        pass
+    try:
+        return Fraction(text)
+    except ValueError:
+        float(text)  # ValueError on garbage; what float() alone accepts is non-finite
+        raise ParseError(f"non-finite rating {text!r}") from None
 
 
 def load_rating_csv(
@@ -200,17 +209,20 @@ def load_rating_csv(
     undirected signed graph.
 
     A first row whose rating field is missing or non-numeric is treated as a
-    header. Self-loop rows and zero-rated rows are dropped (and counted).
+    header. Ratings are read exactly: integers as ints, anything else as a
+    Fraction, so float rounding never decides a sign. Self-loop rows and
+    zero-rated rows are dropped (and counted).
     All surviving rows for one unordered pair are merged per
     `options.conflict_policy`; external ids are compacted to 0..n-1 in first
     appearance order and kept in `node_labels`. Nodes seen only in dropped
     rows are omitted.
 
     Returns the graph and the load statistics. Raises ParseError with a line
-    number for malformed rows, or on input with no data rows at all.
+    number for malformed rows and nan or infinite ratings, or on input with
+    no data rows at all.
     """
     options = options or LoadOptions()
-    sums: dict[tuple[str, str], int | float] = {}
+    sums: dict[tuple[str, str], int | Fraction] = {}
     stats = LoadStats()
     reader = csv.reader(stream)
     for lineno, row in enumerate(reader, 1):
@@ -223,6 +235,8 @@ def load_rating_csv(
             raise ParseError(f"expected source,target,rating[,time], got {len(row)} fields", lineno)
         try:
             rating = _parse_number(row[2])
+        except ParseError as exc:
+            raise ParseError(str(exc), lineno) from None
         except ValueError:
             if lineno == 1:
                 stats.header_skipped = True

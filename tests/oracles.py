@@ -2,17 +2,29 @@
 
 Everything here is deliberately independent of the package's algorithms:
 triangle classification walks all node triples, traces come from dense
-matrix powers, and F1 goes through explicit precision/recall.
+matrix powers, greedy selection rescans the whole two-path table for every
+pick, and F1 goes through explicit precision/recall.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from balattack import SignedGraph
+from balattack import (
+    MODE_BALANCE_SEQUENTIAL,
+    STATUS_ALREADY_MINIMAL,
+    STATUS_BUDGET_EXHAUSTED,
+    STATUS_NO_CANDIDATES,
+    AttackConfig,
+    AttackTrace,
+    SignedGraph,
+    TwoPathTable,
+)
+from balattack.attack import _TraceState
 
 
 def adjacency_matrix(g: SignedGraph) -> np.ndarray:
@@ -96,3 +108,86 @@ def f1_brute(preds: Sequence[int], labels: Sequence[int]) -> tuple[float, float,
     pos = _f1_from_prf(tp, fp, fn)
     neg = _f1_from_prf(tn, fn, fp)
     return micro, pos, (pos + neg) / 2
+
+
+def best_candidate_scan(
+    g: SignedGraph, table: TwoPathTable, rng: random.Random | None
+) -> tuple[int, int, int] | None:
+    """Candidate with the largest a_uv * p_uv as (u, v, p_uv), found by
+    scanning every table entry; None if there are none.
+
+    Ties go to the smallest (u, v) pair, or to rng.choice(sorted(ties))
+    when a shuffling rng is supplied.
+    """
+    adj = [g.adjacency(x) for x in range(g.node_count)]
+    best_score = 0
+    best: tuple[int, int] | None = None
+    ties: list[tuple[int, int]] = []
+    for (u, v), p in table.items():
+        score = adj[u][v] * p
+        if score > best_score:
+            best_score = score
+            best = (u, v)
+            if rng is not None:
+                ties = [best]
+        elif score == best_score and score > 0:
+            if rng is not None:
+                ties.append((u, v))
+            elif (u, v) < best:  # type: ignore[operator]
+                best = (u, v)
+    if best is None:
+        return None
+    if rng is not None and len(ties) > 1:
+        best = rng.choice(sorted(ties))
+    return best[0], best[1], best_score * adj[best[0]][best[1]]
+
+
+def epoch_ranking_scan(
+    g: SignedGraph, table: TwoPathTable, rng: random.Random | None
+) -> list[tuple[int, int, int]]:
+    """Every candidate as (u, v, p_uv), sorted best-first by |p_uv| with
+    ties by (u, v), or, given a shuffling rng, by one rng.random() draw
+    per candidate inside equal-|p| groups."""
+    adj = [g.adjacency(x) for x in range(g.node_count)]
+    cands = [
+        (u, v, p) for (u, v), p in table.items() if p != 0 and adj[u][v] * p > 0
+    ]
+    cands.sort(key=lambda t: (-abs(t[2]), t[0], t[1]))
+    if rng is not None:
+        cands.sort(key=lambda t: (-abs(t[2]), rng.random()))
+    return cands
+
+
+def scan_balance_attack(
+    g: SignedGraph, cfg: AttackConfig
+) -> tuple[SignedGraph, AttackTrace]:
+    """`run_balance_attack` with a full table scan for every selection:
+    O(m) per flip in sequential mode and a full sort per batched epoch."""
+    budget = cfg.budget_edges(g.edge_count)
+    poisoned = g.copy()
+    table = TwoPathTable.from_graph(poisoned)
+    state = _TraceState(poisoned, cfg)
+    rng = random.Random(cfg.seed) if cfg.shuffle_ties else None
+    if state.trace_abs > 0 and state.trace_a3 == -state.trace_abs:
+        return poisoned, state.finish(cfg.mode, budget, STATUS_ALREADY_MINIMAL)
+    status = STATUS_BUDGET_EXHAUSTED
+    if cfg.mode == MODE_BALANCE_SEQUENTIAL:
+        while len(state.records) < budget:
+            pick = best_candidate_scan(poisoned, table, rng)
+            if pick is None:
+                status = STATUS_NO_CANDIDATES
+                break
+            u, v, p = pick
+            a = table.apply_flip(u, v)
+            state.record(u, v, a, p, -12 * a * p)
+    else:
+        while len(state.records) < budget:
+            ranking = epoch_ranking_scan(poisoned, table, rng)
+            if not ranking:
+                status = STATUS_NO_CANDIDATES
+                break
+            for u, v, p_sel in ranking[: budget - len(state.records)][: cfg.batch_size]:
+                p_now = table.get(u, v)
+                a = table.apply_flip(u, v)
+                state.record(u, v, a, p_sel, -12 * a * p_now)
+    return poisoned, state.finish(cfg.mode, budget, status)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+import io
+import logging
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -8,6 +12,7 @@ import pytest
 
 from balattack import (
     MODE_BALANCE_BATCHED,
+    MODE_BALANCE_SEQUENTIAL,
     MODE_RANDOM,
     STATUS_ALREADY_MINIMAL,
     STATUS_BUDGET_EXHAUSTED,
@@ -19,8 +24,9 @@ from balattack import (
     run_random_attack,
     select_candidates,
     verify_perturbation,
+    write_edge_list,
 )
-from oracles import adjacency_matrix, trace_a3_of, traces_cubed
+from oracles import adjacency_matrix, scan_balance_attack, trace_a3_of, traces_cubed
 from util import clustered_signed_graph, graph_with_triangles, random_signed_graph
 
 K3 = [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
@@ -272,6 +278,109 @@ class TestBatched:
             g, AttackConfig(budget_fraction=0.4, mode=MODE_BALANCE_BATCHED)
         )
         assert verify_perturbation(g, poisoned, trace.budget).ok
+
+
+def attack_outputs(g: SignedGraph, cfg: AttackConfig, attack=run_balance_attack):
+    """(status, trace CSV, poisoned edge list) of one attack run."""
+    poisoned, trace = attack(g, cfg)
+    trace_csv, graph_txt = io.StringIO(), io.StringIO()
+    trace.write_csv(trace_csv)
+    write_edge_list(poisoned, graph_txt)
+    return trace.status, trace_csv.getvalue(), graph_txt.getvalue()
+
+
+class TestHeapMatchesScan:
+    """The lazy heap against the per-flip full scan in tests/oracles.py."""
+
+    GREEDY = (
+        (MODE_BALANCE_SEQUENTIAL, 10),
+        (MODE_BALANCE_BATCHED, 1),
+        (MODE_BALANCE_BATCHED, 3),
+        (MODE_BALANCE_BATCHED, 10),
+    )
+
+    def test_byte_identical_on_seeded_graphs(self):
+        rng = random.Random(2309)
+        statuses: Counter = Counter()
+        graphs = 0
+        for i in range(340):
+            n = rng.randint(5, 18)
+            if i % 4 == 0:
+                g = clustered_signed_graph(
+                    rng, communities=rng.randint(2, 3), size=rng.randint(3, 7),
+                    noise=rng.uniform(0, 0.3),
+                )
+            elif i % 4 == 1:
+                # all-negative support: every triangle starts unbalanced
+                g = random_signed_graph(rng, n, rng.uniform(0.3, 0.8), neg_frac=1.0)
+            else:
+                g = random_signed_graph(rng, n, rng.uniform(0.2, 0.8), rng.uniform(0, 0.6))
+            if g.edge_count == 0:
+                continue
+            graphs += 1
+            budget = 1 if i % 3 == 0 else Fraction(rng.randint(1, g.edge_count), g.edge_count)
+            for mode, batch_size in self.GREEDY:
+                cfg = AttackConfig(
+                    budget_fraction=budget, mode=mode, batch_size=batch_size,
+                    seed=i, shuffle_ties=i % 5 == 0,
+                )
+                got = attack_outputs(g, cfg)
+                assert got == attack_outputs(g, cfg, scan_balance_attack), (i, cfg)
+                statuses[got[0]] += 1
+        assert graphs >= 300
+        assert set(statuses) == {
+            STATUS_BUDGET_EXHAUSTED, STATUS_NO_CANDIDATES, STATUS_ALREADY_MINIMAL
+        }
+
+    def test_batch_holds_distinct_edges_after_p_changes_sign(self):
+        # Flipping (3,4) turns p_03 negative before (0,3), a later member of
+        # the same epoch, is flipped; (0,3) goes back on the heap, and the
+        # next epoch meets (2,4) twice at one score.
+        g = SignedGraph(
+            5, [(0, 1, 1), (0, 3, 1), (0, 4, 1), (1, 2, -1), (2, 3, 1), (2, 4, 1), (3, 4, 1)]
+        )
+        cfg = AttackConfig(budget_fraction=1, mode=MODE_BALANCE_BATCHED, batch_size=4)
+        _, trace = run_balance_attack(g, cfg)
+        assert [(r.u, r.v, r.p_uv, r.delta_trace) for r in trace.records] == [
+            (3, 4, 2, -24), (0, 3, 1, 12), (0, 4, 1, -12), (2, 3, 1, 12),
+            (2, 3, -1, -12), (2, 4, 1, 12),
+            (2, 3, 1, -12),
+        ]
+        assert trace.status == STATUS_BUDGET_EXHAUSTED
+        assert attack_outputs(g, cfg) == attack_outputs(g, cfg, scan_balance_attack)
+
+    # sha256 of the shuffled trace CSVs that the full-scan selection wrote;
+    # the heap must consume the tie-breaking rng exactly as it did.
+    @pytest.mark.parametrize("seed,mode,digest", [
+        (1, MODE_BALANCE_SEQUENTIAL,
+         "2d30b914dc76fdf275dfc4a7de8cb97eafbd5fd7575920a08faf029c71db1b94"),
+        (1, MODE_BALANCE_BATCHED,
+         "6e378f835caac656fc360378c1ee624d93cfaa9dabbdf8a02a08f15e6ebee326"),
+        (2, MODE_BALANCE_SEQUENTIAL,
+         "9a54b0dd152f1bd8da2adc04e5ea8a936781fb18bd015981652a13bf3dcdadc6"),
+        (2, MODE_BALANCE_BATCHED,
+         "2b1a3dad28cf26a22113b6aa8e095bd56e1912c1569c68c9eec627d867ce73d1"),
+        (3, MODE_BALANCE_SEQUENTIAL,
+         "64586a9d2eba3e626e73268e0c3f68069adbdc9102e7413ca82e3a0b005aad9b"),
+        (3, MODE_BALANCE_BATCHED,
+         "7dce9a1dcd83eba1c8528c72fb96e6aa2d967fc245a975ad2fbd2de6689c29c6"),
+    ])
+    def test_shuffled_trace_digests_pinned(self, seed, mode, digest):
+        g = clustered_signed_graph(random.Random(seed), communities=3, size=10, noise=0.1)
+        cfg = AttackConfig(
+            budget_fraction="0.5", mode=mode, batch_size=4, seed=seed, shuffle_ties=True
+        )
+        _, trace_csv, _ = attack_outputs(g, cfg)
+        assert hashlib.sha256(trace_csv.encode()).hexdigest() == digest
+
+    def test_selection_counters_logged_at_debug(self, caplog):
+        g = clustered_signed_graph(random.Random(7), communities=2, size=8, noise=0.2)
+        cfg = AttackConfig(budget_fraction=0.5)
+        with caplog.at_level(logging.DEBUG, logger="balattack"):
+            _, trace = run_balance_attack(g, cfg)
+        (line,) = [r.getMessage() for r in caplog.records if "heap pops" in r.getMessage()]
+        pops, stale = map(int, re.search(r"(\d+) heap pops, (\d+) of them stale", line).groups())
+        assert pops >= stale + len(trace.records)
 
 
 class TestRandomAttack:

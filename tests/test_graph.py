@@ -154,6 +154,22 @@ class TestLoadRatingCsv:
         assert g.sign(0, 1) == 1
         assert g.sign(1, 2) == -1
 
+    def test_decimal_ratings_sum_exactly(self):
+        # 0.1 + 0.2 - 0.3 is about 5.6e-17 in floats; exactly it is 0
+        g, stats = load_rating_csv(io.StringIO("a,b,0.1\nb,a,0.2\na,b,-0.3\nc,d,1\n"))
+        assert stats.zero_sum_pairs == 1
+        assert g.node_labels == ["c", "d"]
+
+    @pytest.mark.parametrize("text,line", [
+        ("a,b,1\na,b,nan\n", 2),
+        ("a,b,inf\nb,a,-inf\n", 1),
+        ("a,b,2\nc,d,1\nd,c,-Infinity\n", 3),
+    ])
+    def test_non_finite_rating_rejected_with_line_number(self, text, line):
+        with pytest.raises(ParseError, match="non-finite rating") as exc:
+            load_rating_csv(io.StringIO(text))
+        assert exc.value.line == line
+
     def test_stats_totals(self):
         _, stats = load_rating_csv(io.StringIO("1,2,1\n3,4,-2\n4,3,-2\n"))
         assert (stats.nodes, stats.edges, stats.pos_edges, stats.neg_edges) == (4, 2, 1, 1)
