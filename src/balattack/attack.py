@@ -11,7 +11,7 @@ import logging
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator, Sequence
 
 from .balance import TwoPathTable, count_signed_triangles
 from .graph import SignedGraph
@@ -31,9 +31,9 @@ TRACE_CSV_COLUMNS = "step,u,v,old_sign,p_uv,delta_trace,d3"
 log = logging.getLogger(__name__)
 
 
-def _as_fraction(x: Fraction | float | int | str) -> Fraction:
-    # Floats go through their decimal repr so 0.05 means 1/20, not the
-    # nearest binary double.
+def as_fraction(x: Fraction | float | int | str) -> Fraction:
+    """Exact value of a budget or split fraction. Floats go through their
+    decimal repr, so 0.05 means 1/20, not the nearest binary double."""
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
@@ -60,7 +60,7 @@ class AttackConfig:
     shuffle_ties: bool = False
 
     def __post_init__(self):
-        frac = _as_fraction(self.budget_fraction)
+        frac = as_fraction(self.budget_fraction)
         if not 0 < frac <= 1:
             raise ValueError(f"budget_fraction must be in (0, 1], got {frac}")
         object.__setattr__(self, "budget_fraction", frac)
@@ -109,6 +109,25 @@ class AttackTrace:
     def flipped_edges(self) -> list[tuple[int, int]]:
         return [(r.u, r.v) for r in self.records]
 
+    def prefix(self, k: int, trace_every: int = 1) -> "AttackTrace":
+        """The trace of a standalone greedy run at edge budget k <= budget.
+
+        Greedy selection never looks at the budget, so that run makes
+        exactly the first k flips of this one. This trace must carry d3 on
+        every record (trace_every=1); the prefix thins it to `trace_every`
+        as a run at that setting would.
+        """
+        recs = self.records[:k]
+        final = recs[-1].d3 if recs else self.initial_d3
+        if trace_every > 1:
+            last = len(recs)
+            recs = [
+                r if r.step % trace_every == 0 or r.step == last else replace(r, d3=None)
+                for r in recs
+            ]
+        status = STATUS_BUDGET_EXHAUSTED if len(self.records) >= k else self.status
+        return AttackTrace(self.mode, k, status, self.initial_d3, final, recs)
+
     def write_csv(self, stream: IO[str]) -> None:
         stream.write(f"# schema={TRACE_CSV_SCHEMA}\n")
         stream.write(TRACE_CSV_COLUMNS + "\n")
@@ -148,8 +167,8 @@ class _TraceState:
     per-step balance degree is exact and O(1).
     """
 
-    def __init__(self, g: SignedGraph, cfg: AttackConfig):
-        b, u = count_signed_triangles(g)
+    def __init__(self, census: tuple[int, int], cfg: AttackConfig):
+        b, u = census
         self.trace_abs = 6 * (b + u)
         self.trace_a3 = 6 * (b - u)
         self.trace_every = cfg.trace_every
@@ -296,7 +315,7 @@ def run_balance_attack(
     budget = cfg.budget_edges(g.edge_count)
     poisoned = g.copy()
     table = TwoPathTable.from_graph(poisoned)
-    state = _TraceState(poisoned, cfg)
+    state = _TraceState(count_signed_triangles(poisoned), cfg)
     rng = random.Random(cfg.seed) if cfg.shuffle_ties else None
 
     if state.trace_abs > 0 and state.trace_a3 == -state.trace_abs:
@@ -344,12 +363,17 @@ def run_balance_attack(
 
 
 def run_random_attack(
-    g: SignedGraph, cfg: AttackConfig
+    g: SignedGraph,
+    cfg: AttackConfig,
+    *,
+    start: tuple[TwoPathTable, tuple[int, int]] | None = None,
 ) -> tuple[SignedGraph, AttackTrace]:
     """Flip a uniformly random budget-sized edge subset (the baseline).
 
     Deterministic for a given seed. The trace records the true two-path
-    sums and trace deltas at each flip, same as the greedy modes.
+    sums and trace deltas at each flip, same as the greedy modes. `start`
+    is g's two-path table and (balanced, unbalanced) census, built once
+    by `run_attack_budgets` for all its budgets; the run flips a copy.
     """
     if cfg.mode != MODE_RANDOM:
         raise ValueError(f"config mode is {cfg.mode!r}, expected {MODE_RANDOM!r}")
@@ -358,14 +382,15 @@ def run_random_attack(
     budget = cfg.budget_edges(g.edge_count)
     rng = random.Random(cfg.seed)
     chosen = rng.sample([(u, v) for u, v, _ in g.edges()], budget)
-    poisoned = g.copy()
-    table = TwoPathTable.from_graph(poisoned)
-    state = _TraceState(poisoned, cfg)
+    if start is None:
+        start = TwoPathTable.from_graph(g), count_signed_triangles(g)
+    table = start[0].copy()
+    state = _TraceState(start[1], cfg)
     for u, v in chosen:
         p = table.get(u, v)
         a = table.apply_flip(u, v)
         state.record(u, v, a, p, -12 * a * p)
-    return poisoned, state.finish(cfg.mode, budget, STATUS_BUDGET_EXHAUSTED)
+    return table.graph, state.finish(cfg.mode, budget, STATUS_BUDGET_EXHAUSTED)
 
 
 @dataclass(frozen=True)
@@ -449,6 +474,36 @@ def run_attack(g: SignedGraph, cfg: AttackConfig) -> tuple[SignedGraph, AttackTr
     if cfg.mode == MODE_RANDOM:
         return run_random_attack(g, cfg)
     return run_balance_attack(g, cfg)
+
+
+def run_attack_budgets(
+    g: SignedGraph, cfg: AttackConfig, fractions: Sequence[Fraction | float | str]
+) -> Iterator[tuple[Fraction, SignedGraph, AttackTrace]]:
+    """Attack g at each budget fraction in turn; yield (fraction, poisoned,
+    trace), each equal to run_attack(g, replace(cfg, budget_fraction=f)).
+
+    Greedy modes run once, at the largest budget, and serve every budget
+    from a prefix of that run's trace. Random mode builds g's two-path
+    table and census once and flips each budget's own sample on a copy.
+    A budget's graph is built only when the caller asks for it, so a
+    caller that drops each one before the next holds one at a time.
+    """
+    cfgs = [replace(cfg, budget_fraction=f) for f in fractions]
+    if not cfgs:
+        return
+    if cfg.mode == MODE_RANDOM:
+        start = TwoPathTable.from_graph(g), count_signed_triangles(g)
+        for c in cfgs:
+            yield (c.budget_fraction, *run_random_attack(g, c, start=start))
+        return
+    top = max(cfgs, key=lambda c: c.budget_fraction)
+    poisoned, full = run_balance_attack(g, replace(top, trace_every=1))
+    replay = len(cfgs) > 1
+    if replay:
+        poisoned = None  # each budget replays its own prefix instead
+    for c in cfgs:
+        trace = full.prefix(c.budget_edges(g.edge_count), c.trace_every)
+        yield c.budget_fraction, apply_flips(g, trace.flipped_edges()) if replay else poisoned, trace
 
 
 def apply_flips(g: SignedGraph, edges: Iterable[tuple[int, int]]) -> SignedGraph:

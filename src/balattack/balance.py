@@ -154,6 +154,10 @@ class TwoPathTable:
             p[(u, v)] = two_path_sum(g, u, v)
         return cls(g, p)
 
+    def copy(self) -> "TwoPathTable":
+        """An independent table that tracks a copy of the graph."""
+        return TwoPathTable(self.graph.copy(), dict(self._p))
+
     def get(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
         return self._p[key]
@@ -179,16 +183,12 @@ class TwoPathTable:
         p = self._p
         adj_u = g.adjacency(u)
         adj_v = g.adjacency(v)
-        # paths w - u - v: hop a_uv changed by -2a, scaled by a_wu
-        for w, s_wu in adj_u.items():
-            if w != v and w in adj_v:
-                key = (w, v) if w < v else (v, w)
-                p[key] -= 2 * a * s_wu
-        # paths u - v - w, symmetric
-        for w, s_wv in adj_v.items():
-            if w != u and w in adj_u:
-                key = (w, u) if w < u else (u, w)
-                p[key] -= 2 * a * s_wv
+        step = 2 * a
+        for w in adj_u.keys() & adj_v.keys():
+            # paths w - u - v: hop a_uv changed by -2a, scaled by a_wu
+            p[(w, v) if w < v else (v, w)] -= step * adj_u[w]
+            # paths u - v - w, symmetric
+            p[(w, u) if w < u else (u, w)] -= step * adj_v[w]
         return a
 
     def check_consistent(self) -> bool:

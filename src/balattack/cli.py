@@ -27,11 +27,9 @@ from .attack import (
     MODE_BALANCE_BATCHED,
     MODE_BALANCE_SEQUENTIAL,
     MODE_RANDOM,
-    STATUS_BUDGET_EXHAUSTED,
     AttackConfig,
     AttackTrace,
-    apply_flips,
-    run_attack,
+    run_attack_budgets,
 )
 from .balance import BalanceReport, balance_degree
 from .graph import ParseError, SignedGraph, load_edge_list, load_rating_csv, write_edge_list
@@ -121,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=tuple(CLI_MODES), default="balance")
     p.add_argument("--budget", required=True, type=_budget_list_attack, metavar="FRAC[,FRAC...]",
                    help="edge fraction(s) in (0,1]; several budgets share one "
-                   "greedy run in balance mode")
+                   "greedy run in the balance modes")
     p.add_argument("--batch-size", type=int, default=10, metavar="N",
                    help="flips per epoch in balance-batched mode (default 10)")
     p.add_argument("--seed", type=int, default=0, metavar="N",
@@ -288,39 +286,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # attack
 
 
-def _slice_trace(full: AttackTrace, k: int) -> AttackTrace:
-    """The trace a standalone run with budget k would have produced.
-
-    Greedy selection never looks at the budget, so the standalone run's
-    flips are exactly the first k of a longer run.
-    """
-    recs = list(full.records[:k])
-    status = STATUS_BUDGET_EXHAUSTED if len(full.records) >= k else full.status
-    final = recs[-1].d3 if recs else full.initial_d3
-    return AttackTrace(
-        mode=full.mode,
-        budget=k,
-        status=status,
-        initial_d3=full.initial_d3,
-        final_d3=final,
-        records=recs,
-    )
-
-
 def _budget_path(path: str, token: str, multi: bool) -> str:
     if not multi:
         return path
     p = Path(path)
     return str(p.with_name(f"{p.stem}.b{token}{p.suffix}"))
-
-
-def _attack_outputs(
-    g: SignedGraph, cli_mode: str, frac: Fraction, batch_size: int, seed: int
-) -> tuple[SignedGraph, AttackTrace]:
-    cfg = AttackConfig(
-        budget_fraction=frac, mode=CLI_MODES[cli_mode], batch_size=batch_size, seed=seed
-    )
-    return run_attack(g, cfg)
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
@@ -330,30 +300,13 @@ def cmd_attack(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, fmt)
     budgets: list[tuple[str, Fraction]] = args.budget
     multi = len(budgets) > 1
-
-    # One greedy run serves every budget in balance mode; other modes are
-    # budget-dependent and run separately.
-    full_trace: AttackTrace | None = None
-    if args.mode == "balance":
-        t0 = time.perf_counter()
-        _, full_trace = _attack_outputs(
-            g, args.mode, max(f for _, f in budgets), args.batch_size, args.seed
-        )
-        log.info("greedy run: %d flips in %.2fs", len(full_trace.records),
-                 time.perf_counter() - t0)
-
-    for token, frac in budgets:
-        t0 = time.perf_counter()
-        if full_trace is not None:
-            k = AttackConfig(budget_fraction=frac, mode=MODE_BALANCE_SEQUENTIAL).budget_edges(
-                g.edge_count
-            )
-            trace = _slice_trace(full_trace, k)
-            poisoned = apply_flips(g, trace.flipped_edges())
-        else:
-            poisoned, trace = _attack_outputs(
-                g, args.mode, frac, args.batch_size, args.seed
-            )
+    cfg = AttackConfig(
+        budget_fraction=max(f for _, f in budgets), mode=CLI_MODES[args.mode],
+        batch_size=args.batch_size, seed=args.seed,
+    )
+    sweep = run_attack_budgets(g, cfg, [f for _, f in budgets])
+    t0 = time.perf_counter()
+    for (token, _), (_, poisoned, trace) in zip(budgets, sweep):
         outputs: dict[str, str] = {}
         if args.out_graph:
             path = _budget_path(args.out_graph, token, multi)
@@ -363,6 +316,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             path = _budget_path(args.out_trace, token, multi)
             _write_file(path, _render_trace(trace))
             outputs["trace"] = path
+        del poisoned  # before the sweep builds the next budget's graph
         _write_manifest(next(iter(outputs.values())), RunManifest(
             command="attack",
             version=__version__,
@@ -382,6 +336,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             f"budget={token} edges={trace.budget} flips={len(trace.records)} "
             f"status={trace.status} d3={_fmt_d3(trace.final_d3)}"
         )
+        t0 = time.perf_counter()
     return 0
 
 
@@ -462,10 +417,11 @@ def cmd_rerun(args: argparse.Namespace) -> int:
             raise ValueError("empty input: graph has no edges")
         contents["csv"] = _render_stats_csv(balance_degree(g))
     elif man.command == "attack":
-        poisoned, trace = _attack_outputs(
-            g, man.config["mode"], Fraction(man.config["budget"]),
-            man.config["batch_size"], man.config["seed"],
+        cfg = AttackConfig(
+            budget_fraction=man.config["budget"], mode=CLI_MODES[man.config["mode"]],
+            batch_size=man.config["batch_size"], seed=man.config["seed"],
         )
+        ((_, poisoned, trace),) = run_attack_budgets(g, cfg, [cfg.budget_fraction])
         contents["graph"] = _render_graph(poisoned)
         contents["trace"] = _render_trace(trace)
     elif man.command == "eval":

@@ -154,22 +154,6 @@ class SignedGraph:
         )
 
 
-@dataclass(frozen=True)
-class LoadOptions:
-    """Rating-CSV ingestion knobs.
-
-    conflict_policy: how multiple rows for one unordered pair combine.
-    Only "sum" is supported: ratings are summed and the edge takes the
-    sign of the total; a total of exactly 0 drops the pair.
-    """
-
-    conflict_policy: str = "sum"
-
-    def __post_init__(self):
-        if self.conflict_policy != "sum":
-            raise ValueError(f"unknown conflict policy: {self.conflict_policy!r}")
-
-
 @dataclass
 class LoadStats:
     """Bookkeeping from a rating-CSV load."""
@@ -202,9 +186,7 @@ def _parse_number(text: str) -> int | Fraction:
         raise ParseError(f"non-finite rating {text!r}") from None
 
 
-def load_rating_csv(
-    stream: Iterable[str], options: LoadOptions | None = None
-) -> tuple[SignedGraph, LoadStats]:
+def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
     """Load a directed rating CSV (`source,target,rating[,time]`) as an
     undirected signed graph.
 
@@ -212,8 +194,8 @@ def load_rating_csv(
     header. Ratings are read exactly: integers as ints, anything else as a
     Fraction, so float rounding never decides a sign. Self-loop rows and
     zero-rated rows are dropped (and counted).
-    All surviving rows for one unordered pair are merged per
-    `options.conflict_policy`; external ids are compacted to 0..n-1 in first
+    All surviving rows for one unordered pair are summed, and the edge takes
+    the sign of the total; a total of exactly 0 drops the pair. External ids are compacted to 0..n-1 in first
     appearance order and kept in `node_labels`. Nodes seen only in dropped
     rows are omitted.
 
@@ -221,7 +203,6 @@ def load_rating_csv(
     number for malformed rows and nan or infinite ratings, or on input with
     no data rows at all.
     """
-    options = options or LoadOptions()
     sums: dict[tuple[str, str], int | Fraction] = {}
     stats = LoadStats()
     reader = csv.reader(stream)

@@ -8,13 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
-from .attack import (
-    MODE_BALANCE_SEQUENTIAL,
-    MODES,
-    AttackConfig,
-    apply_flips,
-    run_attack,
-)
+from .attack import MODES, AttackConfig, as_fraction, run_attack_budgets
 from .balance import balance_degree, two_path_sum
 from .graph import SignedGraph
 
@@ -22,12 +16,6 @@ PIPELINE_CSV_SCHEMA = "attack-eval/1"
 PIPELINE_CSV_COLUMNS = (
     "dataset,mode,budget_frac,d3,micro_f1,binary_f1,macro_f1,split_seed,attack_seed"
 )
-
-
-def _as_fraction(x: Fraction | float | str) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -52,7 +40,7 @@ def split_edges(
     test. Deterministic per seed. Raises ValueError when either side would
     be empty.
     """
-    fraction = _as_fraction(fraction)
+    fraction = as_fraction(fraction)
     if not 0 < fraction < 1:
         raise ValueError(f"train fraction must be in (0, 1), got {fraction}")
     edges = list(g.edges())
@@ -189,12 +177,12 @@ def attack_eval_pipeline(
     sign prediction on the untouched test edges.
 
     Budget 0 rows are clean baselines. The test split and its labels are
-    fixed once up front and never attacked. Sequential balance rows for a
-    whole budget list are served from one greedy run via trace prefixes
-    (greedy selection does not depend on the budget); other modes run
-    per-budget.
+    fixed once up front and never attacked. Each mode attacks every
+    nonzero budget in one `run_attack_budgets` sweep, and each row's d3 is
+    its attack trace's exact final d3, so the clean graph gets a triangle
+    census of its own only when no attack runs.
     """
-    budgets = [_as_fraction(b) for b in budgets]
+    budgets = [as_fraction(b) for b in budgets]
     for b in budgets:
         if not 0 <= b <= 1:
             raise ValueError(f"budget fraction must be in [0, 1], got {b}")
@@ -204,48 +192,24 @@ def attack_eval_pipeline(
     split = split_edges(g, train_fraction, split_seed)
     clean_train = split.train_graph()
     clean_report = evaluate_on_split(clean_train, split.test_edges)
-    clean_d3 = balance_degree(clean_train).d3
+    attacked = list(dict.fromkeys(b for b in budgets if b > 0))
+    clean_d3 = None if attacked else balance_degree(clean_train).d3
 
+    cells: dict[tuple[str, Fraction], tuple[Fraction | None, EvalReport]] = {}
+    for mode in modes:
+        cfg = AttackConfig(
+            budget_fraction=1, mode=mode, batch_size=batch_size, seed=attack_seed
+        )
+        for budget, poisoned, trace in run_attack_budgets(clean_train, cfg, attacked):
+            cells[mode, budget] = trace.final_d3, evaluate_on_split(poisoned, split.test_edges)
+            clean_d3 = trace.initial_d3
+            # Let go before the sweep builds the next budget's graph.
+            del poisoned, trace
     rows: list[PipelineRow] = []
     for mode in modes:
-        nonzero = [b for b in budgets if b > 0]
-        prefix_trace = None
-        if mode == MODE_BALANCE_SEQUENTIAL and nonzero:
-            cfg = AttackConfig(budget_fraction=max(nonzero), mode=mode, seed=attack_seed)
-            _, prefix_trace = run_attack(clean_train, cfg)
         for budget in budgets:
-            if budget == 0:
-                rows.append(
-                    PipelineRow(
-                        dataset, mode, budget, clean_d3, clean_report, split_seed, attack_seed
-                    )
-                )
-                continue
-            if prefix_trace is not None:
-                k = AttackConfig(budget_fraction=budget, mode=mode).budget_edges(
-                    clean_train.edge_count
-                )
-                flips = prefix_trace.flipped_edges()[:k]
-                poisoned = apply_flips(clean_train, flips)
-            else:
-                cfg = AttackConfig(
-                    budget_fraction=budget,
-                    mode=mode,
-                    batch_size=batch_size,
-                    seed=attack_seed,
-                )
-                poisoned, _ = run_attack(clean_train, cfg)
-            rows.append(
-                PipelineRow(
-                    dataset=dataset,
-                    mode=mode,
-                    budget_frac=budget,
-                    d3=balance_degree(poisoned).d3,
-                    report=evaluate_on_split(poisoned, split.test_edges),
-                    split_seed=split_seed,
-                    attack_seed=attack_seed,
-                )
-            )
+            d3, report = cells[mode, budget] if budget else (clean_d3, clean_report)
+            rows.append(PipelineRow(dataset, mode, budget, d3, report, split_seed, attack_seed))
     return rows
 
 

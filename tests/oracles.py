@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the package's algorithms:
 triangle classification walks all node triples, traces come from dense
 matrix powers, greedy selection rescans the whole two-path table for every
-pick, and F1 goes through explicit precision/recall.
+pick, F1 goes through explicit precision/recall, and the attack-evaluation
+sweep runs every budget on its own.
 """
 
 from __future__ import annotations
@@ -21,10 +22,16 @@ from balattack import (
     STATUS_NO_CANDIDATES,
     AttackConfig,
     AttackTrace,
+    PipelineRow,
     SignedGraph,
     TwoPathTable,
+    balance_degree,
+    count_signed_triangles,
+    run_attack,
+    split_edges,
 )
-from balattack.attack import _TraceState
+from balattack.attack import _TraceState, as_fraction
+from balattack.prediction import evaluate_on_split
 
 
 def adjacency_matrix(g: SignedGraph) -> np.ndarray:
@@ -166,7 +173,7 @@ def scan_balance_attack(
     budget = cfg.budget_edges(g.edge_count)
     poisoned = g.copy()
     table = TwoPathTable.from_graph(poisoned)
-    state = _TraceState(poisoned, cfg)
+    state = _TraceState(count_signed_triangles(poisoned), cfg)
     rng = random.Random(cfg.seed) if cfg.shuffle_ties else None
     if state.trace_abs > 0 and state.trace_a3 == -state.trace_abs:
         return poisoned, state.finish(cfg.mode, budget, STATUS_ALREADY_MINIMAL)
@@ -191,3 +198,34 @@ def scan_balance_attack(
                 a = table.apply_flip(u, v)
                 state.record(u, v, a, p_sel, -12 * a * p_now)
     return poisoned, state.finish(cfg.mode, budget, status)
+
+
+def reference_attack_eval_pipeline(
+    g: SignedGraph,
+    budgets: Sequence[Fraction | float | str],
+    modes: Sequence[str],
+    *,
+    split_seed: int = 0,
+    train_fraction: Fraction | float = Fraction(4, 5),
+    attack_seed: int = 0,
+    batch_size: int = 10,
+    dataset: str = "graph",
+) -> list[PipelineRow]:
+    """`attack_eval_pipeline` with one standalone `run_attack` per nonzero
+    budget and a fresh triangle census of every row's graph."""
+    split = split_edges(g, train_fraction, split_seed)
+    clean_train = split.train_graph()
+    rows = []
+    for mode in modes:
+        for budget in map(as_fraction, budgets):
+            poisoned = clean_train
+            if budget > 0:
+                cfg = AttackConfig(
+                    budget_fraction=budget, mode=mode, batch_size=batch_size, seed=attack_seed
+                )
+                poisoned, _ = run_attack(clean_train, cfg)
+            rows.append(PipelineRow(
+                dataset, mode, budget, balance_degree(poisoned).d3,
+                evaluate_on_split(poisoned, split.test_edges), split_seed, attack_seed,
+            ))
+    return rows

@@ -6,6 +6,7 @@ import logging
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from balattack import (
     AttackConfig,
     SignedGraph,
     TwoPathTable,
+    run_attack,
+    run_attack_budgets,
     run_balance_attack,
     run_random_attack,
     select_candidates,
@@ -280,6 +283,20 @@ class TestBatched:
         assert verify_perturbation(g, poisoned, trace.budget).ok
 
 
+def seeded_attack_graph(rng: random.Random, i: int) -> SignedGraph:
+    """The i-th graph of a seeded mix: clustered, all-negative (every
+    triangle starts unbalanced) or Erdos-Renyi; it may have no edges."""
+    n = rng.randint(5, 18)
+    if i % 4 == 0:
+        return clustered_signed_graph(
+            rng, communities=rng.randint(2, 3), size=rng.randint(3, 7),
+            noise=rng.uniform(0, 0.3),
+        )
+    if i % 4 == 1:
+        return random_signed_graph(rng, n, rng.uniform(0.3, 0.8), neg_frac=1.0)
+    return random_signed_graph(rng, n, rng.uniform(0.2, 0.8), rng.uniform(0, 0.6))
+
+
 def attack_outputs(g: SignedGraph, cfg: AttackConfig, attack=run_balance_attack):
     """(status, trace CSV, poisoned edge list) of one attack run."""
     poisoned, trace = attack(g, cfg)
@@ -304,17 +321,7 @@ class TestHeapMatchesScan:
         statuses: Counter = Counter()
         graphs = 0
         for i in range(340):
-            n = rng.randint(5, 18)
-            if i % 4 == 0:
-                g = clustered_signed_graph(
-                    rng, communities=rng.randint(2, 3), size=rng.randint(3, 7),
-                    noise=rng.uniform(0, 0.3),
-                )
-            elif i % 4 == 1:
-                # all-negative support: every triangle starts unbalanced
-                g = random_signed_graph(rng, n, rng.uniform(0.3, 0.8), neg_frac=1.0)
-            else:
-                g = random_signed_graph(rng, n, rng.uniform(0.2, 0.8), rng.uniform(0, 0.6))
+            g = seeded_attack_graph(rng, i)
             if g.edge_count == 0:
                 continue
             graphs += 1
@@ -381,6 +388,50 @@ class TestHeapMatchesScan:
         (line,) = [r.getMessage() for r in caplog.records if "heap pops" in r.getMessage()]
         pops, stale = map(int, re.search(r"(\d+) heap pops, (\d+) of them stale", line).groups())
         assert pops >= stale + len(trace.records)
+
+
+class TestBudgetSweep:
+    """run_attack_budgets against one standalone run_attack per budget."""
+
+    MODES = TestHeapMatchesScan.GREEDY + ((MODE_RANDOM, 10),)
+
+    def test_matches_standalone_runs_on_seeded_graphs(self):
+        rng = random.Random(2402)
+        statuses: Counter = Counter()
+        graphs = 0
+        for i in range(340):
+            g = seeded_attack_graph(rng, i)
+            if g.edge_count == 0:
+                continue
+            graphs += 1
+            snapshot = g.copy()
+            m = g.edge_count
+            # unsorted, sometimes with the whole graph or a repeated budget
+            fractions = [Fraction(rng.randint(1, m), m) for _ in range(rng.randint(1, 3))]
+            if i % 3 == 0:
+                fractions.insert(rng.randint(0, len(fractions)), Fraction(1))
+            if i % 7 == 0:
+                fractions.append(fractions[0])
+            for mode, batch_size in self.MODES:
+                cfg = AttackConfig(
+                    budget_fraction=1, mode=mode, batch_size=batch_size, seed=i,
+                    shuffle_ties=i % 5 == 0, trace_every=3 if i % 6 == 1 else 1,
+                )
+                got = list(run_attack_budgets(g, cfg, fractions))
+                assert [f for f, _, _ in got] == fractions
+                for f, poisoned, trace in got:
+                    want_graph, want_trace = run_attack(g, replace(cfg, budget_fraction=f))
+                    assert trace == want_trace, (i, cfg, f)
+                    assert poisoned == want_graph, (i, cfg, f)
+                    statuses[trace.status] += 1
+            assert g == snapshot
+        assert graphs >= 300
+        assert set(statuses) == {
+            STATUS_BUDGET_EXHAUSTED, STATUS_NO_CANDIDATES, STATUS_ALREADY_MINIMAL
+        }
+
+    def test_empty_budget_list_runs_nothing(self):
+        assert list(run_attack_budgets(SignedGraph(2), AttackConfig(budget_fraction=1), [])) == []
 
 
 class TestRandomAttack:

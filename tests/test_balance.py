@@ -196,3 +196,20 @@ class TestIncrementalTable:
         for u, v in reversed(picks):
             t.apply_flip(u, v)
         assert dict(t.items()) == snapshot
+
+    def test_flips_on_a_copy_leave_the_original_untouched(self):
+        rng = random.Random(37)
+        for _ in range(30):
+            g = random_signed_graph(rng, rng.randint(4, 16), rng.uniform(0.2, 0.7))
+            if g.edge_count == 0:
+                continue
+            t = TwoPathTable.from_graph(g)
+            graph_before, table_before = g.copy(), dict(t.items())
+            twin = t.copy()
+            assert twin.graph is not g and twin.graph == g
+            edges = [(u, v) for u, v, _ in g.edges()]
+            for u, v in rng.sample(edges, rng.randint(1, len(edges))):
+                twin.apply_flip(u, v)
+            assert twin.graph != g
+            assert g == graph_before and dict(t.items()) == table_before
+            assert t.check_consistent() and twin.check_consistent()

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from balattack import SignedGraph, load_edge_list, write_edge_list
+from balattack import SignedGraph, attack, load_edge_list, write_edge_list
 from balattack.cli import main
 from util import clustered_signed_graph
 
@@ -127,6 +127,25 @@ class TestAttack:
             "--out-graph", str(single),
         ]) == 0
         assert sliced.read_bytes() == single.read_bytes()
+
+    def test_multi_budget_batched_shares_one_run(self, clustered_file, tmp_path, monkeypatch):
+        path, _ = clustered_file
+        runs = []
+        real = attack.run_balance_attack
+        monkeypatch.setattr(attack, "run_balance_attack", lambda *a: runs.append(a) or real(*a))
+        common = ["attack", "--input", str(path), "--mode", "balance-batched",
+                  "--batch-size", "3"]
+        assert main([*common, "--budget", "0.1,0.2", "--out-graph", str(tmp_path / "m.edges"),
+                     "--out-trace", str(tmp_path / "m.csv")]) == 0
+        assert len(runs) == 1
+        for token in ("0.1", "0.2"):
+            one = tmp_path / token
+            one.mkdir()
+            assert main([*common, "--budget", token, "--out-graph", str(one / "s.edges"),
+                         "--out-trace", str(one / "s.csv")]) == 0
+            for suffix in (".edges", ".csv"):
+                multi = tmp_path / f"m.b{token}{suffix}"
+                assert multi.read_bytes() == (one / f"s{suffix}").read_bytes()
 
     def test_random_mode_deterministic(self, clustered_file, tmp_path):
         path, _ = clustered_file

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from balattack import (
-    LoadOptions,
     ParseError,
     SignedGraph,
     load_edge_list,
@@ -185,10 +184,6 @@ class TestLoadRatingCsv:
             load_rating_csv(io.StringIO("1,2,3\n4,5\n"))
         with pytest.raises(ParseError, match="line 3"):
             load_rating_csv(io.StringIO("1,2,3\n4,5,1\n6,7,zebra\n"))
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            LoadOptions(conflict_policy="first")
 
     def test_blank_lines_ignored(self):
         g, stats = load_rating_csv(io.StringIO("1,2,3\n\n\n2,3,1\n"))

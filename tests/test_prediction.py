@@ -18,7 +18,7 @@ from balattack import (
     split_edges,
     triad_vote_predict,
 )
-from oracles import f1_brute
+from oracles import f1_brute, reference_attack_eval_pipeline
 from util import clustered_signed_graph, random_signed_graph
 
 
@@ -210,6 +210,39 @@ class TestPipeline:
         )
         assert len(rows) == 1
         assert rows[0].d3 is not None
+
+    def test_rows_match_reference_on_seeded_graphs(self):
+        rng = random.Random(2403)
+        modes = [MODE_BALANCE_SEQUENTIAL, MODE_BALANCE_BATCHED, MODE_RANDOM]
+        graphs = 0
+        for i in range(120):
+            if i % 2:
+                g = clustered_signed_graph(
+                    rng, communities=rng.randint(2, 3), size=rng.randint(3, 6),
+                    noise=rng.uniform(0, 0.3),
+                )
+            else:
+                g = random_signed_graph(rng, rng.randint(5, 16), rng.uniform(0.2, 0.7))
+            if g.edge_count < 4:
+                continue
+            graphs += 1
+            # the clean row first, last, twice or alone; sometimes the whole graph
+            budgets = [Fraction(rng.randint(1, 10), 20) for _ in range(rng.randint(1, 3))]
+            budgets.insert(rng.randint(0, len(budgets)), 0)
+            if i % 3 == 0:
+                budgets.append(1)
+            if i % 5 == 0:
+                budgets.append(0)
+            if i % 11 == 0:
+                budgets = [0, 0] if i % 2 else [0]
+            rng.shuffle(modes)
+            kwargs = dict(
+                split_seed=i, attack_seed=rng.randint(0, 9),
+                batch_size=rng.choice([1, 3, 10]), dataset=f"g{i}",
+            )
+            got = attack_eval_pipeline(g, budgets, modes, **kwargs)
+            assert got == reference_attack_eval_pipeline(g, budgets, modes, **kwargs), i
+        assert graphs >= 100
 
     def test_validation(self):
         g = self._graph()
