@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, Sequence
 
-from .balance import TwoPathTable, count_signed_triangles
+from .balance import TwoPathTable
 from .graph import SignedGraph
 
 MODE_BALANCE_SEQUENTIAL = "balance_sequential"
@@ -315,7 +315,7 @@ def run_balance_attack(
     budget = cfg.budget_edges(g.edge_count)
     poisoned = g.copy()
     table = TwoPathTable.from_graph(poisoned)
-    state = _TraceState(count_signed_triangles(poisoned), cfg)
+    state = _TraceState(table.census, cfg)
     rng = random.Random(cfg.seed) if cfg.shuffle_ties else None
 
     if state.trace_abs > 0 and state.trace_a3 == -state.trace_abs:
@@ -366,26 +366,25 @@ def run_random_attack(
     g: SignedGraph,
     cfg: AttackConfig,
     *,
-    start: tuple[TwoPathTable, tuple[int, int]] | None = None,
+    start: TwoPathTable | None = None,
 ) -> tuple[SignedGraph, AttackTrace]:
     """Flip a uniformly random budget-sized edge subset (the baseline).
 
     Deterministic for a given seed. The trace records the true two-path
     sums and trace deltas at each flip, same as the greedy modes. `start`
-    is g's two-path table and (balanced, unbalanced) census, built once
-    by `run_attack_budgets` for all its budgets; the run flips a copy.
+    is g's two-path table, built once by `run_attack_budgets` for all its
+    budgets; the run samples its edges and flips a copy.
     """
     if cfg.mode != MODE_RANDOM:
         raise ValueError(f"config mode is {cfg.mode!r}, expected {MODE_RANDOM!r}")
     if g.edge_count == 0:
         raise ValueError("graph has no edges to attack")
     budget = cfg.budget_edges(g.edge_count)
-    rng = random.Random(cfg.seed)
-    chosen = rng.sample([(u, v) for u, v, _ in g.edges()], budget)
     if start is None:
-        start = TwoPathTable.from_graph(g), count_signed_triangles(g)
-    table = start[0].copy()
-    state = _TraceState(start[1], cfg)
+        start = TwoPathTable.from_graph(g)
+    chosen = random.Random(cfg.seed).sample(start.pairs(), budget)
+    table = start.copy()
+    state = _TraceState(start.census, cfg)
     for u, v in chosen:
         p = table.get(u, v)
         a = table.apply_flip(u, v)
@@ -484,7 +483,7 @@ def run_attack_budgets(
 
     Greedy modes run once, at the largest budget, and serve every budget
     from a prefix of that run's trace. Random mode builds g's two-path
-    table and census once and flips each budget's own sample on a copy.
+    table once and flips each budget's own sample on a copy.
     A budget's graph is built only when the caller asks for it, so a
     caller that drops each one before the next holds one at a time.
     """
@@ -492,7 +491,7 @@ def run_attack_budgets(
     if not cfgs:
         return
     if cfg.mode == MODE_RANDOM:
-        start = TwoPathTable.from_graph(g), count_signed_triangles(g)
+        start = TwoPathTable.from_graph(g)
         for c in cfgs:
             yield (c.budget_fraction, *run_random_attack(g, c, start=start))
         return

@@ -46,49 +46,50 @@ class BalanceReport:
         }
 
 
-def _forward_order(g: SignedGraph) -> tuple[list[int], list[list[int]]]:
-    # Rank nodes by (degree, id); keep only edges pointing up-rank. Every
-    # triangle then appears exactly once, at its lowest-ranked corner.
-    n = g.node_count
-    rank = sorted(range(n), key=lambda u: (g.degree(u), u))
-    pos = [0] * n
-    for i, u in enumerate(rank):
-        pos[u] = i
-    fwd: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        pu = pos[u]
-        fwd[u] = [v for v in g.adjacency(u) if pos[v] > pu]
-    return pos, fwd
-
-
-def iter_triangles(g: SignedGraph) -> Iterator[tuple[int, int, int]]:
-    """Yield each triangle of g exactly once as a node triple."""
-    _, fwd = _forward_order(g)
-    for u in range(g.node_count):
-        out = fwd[u]
-        for i, v in enumerate(out):
-            adj_v = g.adjacency(v)
-            for w in out[i + 1 :]:
-                if w in adj_v:
-                    yield u, v, w
-
-
-def count_signed_triangles(g: SignedGraph) -> tuple[int, int]:
+def count_signed_triangles(
+    g: SignedGraph, fill: dict[tuple[int, int], int] | None = None
+) -> tuple[int, int]:
     """Exact (balanced, unbalanced) triangle counts.
 
-    A triangle is balanced when its sign product is +1. Runs in
-    O(m^1.5) by orienting edges along a degree order, so dense-matrix
-    blowup on large sparse graphs is avoided.
+    A triangle is balanced when its sign product is +1. Runs in O(m^1.5)
+    as the compact-forward listing (Chiba & Nishizeki 1985; Latapy 2008):
+    edges point up a (degree, id) rank, so every triangle is met once, at
+    its lowest corner, and no node has more than O(sqrt(m)) out-edges.
+
+    Given `fill`, a dict holding every edge (min, max) of g, the same walk
+    adds each triangle's two-path a_xz*a_zy into the entry of its edge
+    {x,y}, for all three edges; entries that start at 0 end at (A^2)_xy.
     """
-    balanced = 0
-    unbalanced = 0
-    for u, v, w in iter_triangles(g):
-        adj_u = g.adjacency(u)
-        if adj_u[v] * adj_u[w] * g.adjacency(v)[w] > 0:
-            balanced += 1
-        else:
-            unbalanced += 1
-    return balanced, unbalanced
+    adj = [g.adjacency(u) for u in range(g.node_count)]
+    pos = [0] * len(adj)
+    for i, u in enumerate(sorted(range(len(adj)), key=lambda x: len(adj[x]))):
+        pos[u] = i
+    fwd = [{v for v in d if pos[v] > pos[u]} for u, d in enumerate(adj)]
+    triangles = signed = 0  # signed: balanced - unbalanced
+    for u, fwd_u in enumerate(fwd):
+        adj_u = adj[u]
+        for v in fwd_u:
+            common = fwd_u & fwd[v]
+            if not common:
+                continue
+            adj_v = adj[v]
+            a_uv = adj_u[v]
+            s = 0
+            if fill is None:
+                for w in common:
+                    s += adj_u[w] * adj_v[w]
+            else:
+                for w in common:
+                    a_uw = adj_u[w]
+                    a_vw = adj_v[w]
+                    s += a_uw * a_vw
+                    fill[(u, w) if u < w else (w, u)] += a_uv * a_vw
+                    fill[(v, w) if v < w else (w, v)] += a_uv * a_uw
+                fill[(u, v) if u < v else (v, u)] += s
+            triangles += len(common)
+            signed += a_uv * s
+    balanced = (triangles + signed) // 2
+    return balanced, triangles - balanced
 
 
 def balance_degree(g: SignedGraph) -> BalanceReport:
@@ -120,47 +121,45 @@ def two_path_sum(g: SignedGraph, u: int, v: int) -> int:
     return sum(s * adj_v[w] for w, s in adj_u.items() if w in adj_v)
 
 
-def flip_delta(g: SignedGraph, u: int, v: int) -> int:
-    """Exact change of tr(A^3) caused by flipping the sign of edge {u,v}.
-
-    Flipping a_uv from a to -a changes each triangle through the edge by
-    -2a * (product of its other two signs); over both trace orientations
-    and the three diagonal positions that is -12 * a_uv * (A^2)_uv.
-    tr(|A|^3) is unaffected, so this is the whole balance-degree story.
-    """
-    return -12 * g.sign(u, v) * two_path_sum(g, u, v)
-
-
 class TwoPathTable:
-    """(A^2)_uv cached for every edge {u,v} of a graph.
+    """(A^2)_uv cached for every edge {u,v} of a graph, with the graph's
+    (balanced, unbalanced) triangle census.
 
     This is the quantity the greedy attack ranks by, and it can be
     maintained under a sign flip in O(deg(u)+deg(v)) instead of being
-    recomputed. Keys are ordered pairs (min, max). The table tracks one
-    specific graph object; `apply_flip` mutates both in lock-step.
+    recomputed. Keys are ordered pairs (min, max), in `g.edges()` order.
+    The table tracks one specific graph object; `apply_flip` mutates both
+    in lock-step and keeps `census` exact.
     """
 
-    __slots__ = ("graph", "_p")
+    __slots__ = ("graph", "_p", "census")
 
-    def __init__(self, graph: SignedGraph, table: dict[tuple[int, int], int]):
+    def __init__(
+        self, graph: SignedGraph, table: dict[tuple[int, int], int], census: tuple[int, int]
+    ):
         self.graph = graph
         self._p = table
+        self.census = census
 
     @classmethod
     def from_graph(cls, g: SignedGraph) -> "TwoPathTable":
-        """Build the table by shared-neighbor intersection per edge."""
-        p: dict[tuple[int, int], int] = {}
-        for u, v, _s in g.edges():
-            p[(u, v)] = two_path_sum(g, u, v)
-        return cls(g, p)
+        """Build the table and the census in one triangle walk: every
+        two-path of an edge closes a triangle through it."""
+        p = dict.fromkeys([(u, v) for u, v, _s in g.edges()], 0)
+        census = count_signed_triangles(g, fill=p)
+        return cls(g, p, census)
 
     def copy(self) -> "TwoPathTable":
         """An independent table that tracks a copy of the graph."""
-        return TwoPathTable(self.graph.copy(), dict(self._p))
+        return TwoPathTable(self.graph.copy(), dict(self._p), self.census)
 
     def get(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
         return self._p[key]
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """Every edge as (min, max), in `g.edges()` order."""
+        return list(self._p)
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
         return iter(self._p.items())
@@ -174,13 +173,16 @@ class TwoPathTable:
         For a common update rule, note that p_wx sums a_wy*a_yx over
         middle nodes y; flipping a_uv only touches entries where the
         flipped edge is one of the two hops. p_uv itself uses {u,v} as
-        endpoints, never as a hop, so it is unchanged. Returns the
-        pre-flip sign.
+        endpoints, never as a hop, so it is unchanged. The triangles
+        through {u,v} sum to a_uv*p_uv balanced minus unbalanced, and the
+        flip swaps the two. Returns the pre-flip sign.
         """
         g = self.graph
         a = g.sign(u, v)
         g.flip_edge(u, v)
         p = self._p
+        d = a * p[(u, v) if u < v else (v, u)]
+        self.census = (self.census[0] - d, self.census[1] + d)
         adj_u = g.adjacency(u)
         adj_v = g.adjacency(v)
         step = 2 * a
@@ -190,13 +192,3 @@ class TwoPathTable:
             # paths u - v - w, symmetric
             p[(w, u) if w < u else (u, w)] -= step * adj_v[w]
         return a
-
-    def check_consistent(self) -> bool:
-        """Recompute every entry from scratch; True iff nothing drifted."""
-        g = self.graph
-        if len(self._p) != g.edge_count:
-            return False
-        for (u, v), val in self._p.items():
-            if not g.has_edge(u, v) or two_path_sum(g, u, v) != val:
-                return False
-        return True

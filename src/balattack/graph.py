@@ -56,6 +56,23 @@ class SignedGraph:
         for u, v, s in edges:
             self._add_edge(u, v, s)
 
+    @classmethod
+    def _trusted(
+        cls, n: int, edges: Iterable[tuple[int, int, int]], labels: list[str] | None = None
+    ) -> "SignedGraph":
+        """A graph from edges known to be valid: ids in range, no self-loops,
+        signs +1/-1 and no pair twice. Skips the public constructor's checks."""
+        g = cls.__new__(cls)
+        g._adj = adj = [{} for _ in range(n)]
+        g.node_labels = labels
+        m = signed = 0
+        for u, v, s in edges:
+            adj[u][v] = adj[v][u] = s
+            m += 1
+            signed += s
+        g._m, g._pos = m, (m + signed) // 2
+        return g
+
     def _add_edge(self, u: int, v: int, s: int) -> None:
         n = len(self._adj)
         if not (0 <= u < n and 0 <= v < n):
@@ -170,17 +187,15 @@ class LoadStats:
     neg_edges: int = 0
 
 
-def _parse_number(text: str) -> int | Fraction:
-    """Exact value of a rating field. ValueError on text that is no
-    number; ParseError on nan or an infinity, which would otherwise sum to
-    a non-finite total and land on a sign."""
+def _parse_fraction(text: str) -> Fraction:
+    """Exact value of a rating field that is no int. ValueError on text
+    that is no number; ParseError on a zero denominator, nan or an infinity,
+    none of which may sum into a total and land on a sign."""
     text = text.strip()
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
         return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in rating {text!r}") from None
     except ValueError:
         float(text)  # ValueError on garbage; what float() alone accepts is non-finite
         raise ParseError(f"non-finite rating {text!r}") from None
@@ -191,74 +206,68 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
     undirected signed graph.
 
     A first row whose rating field is missing or non-numeric is treated as a
-    header. Ratings are read exactly: integers as ints, anything else as a
-    Fraction, so float rounding never decides a sign. Self-loop rows and
-    zero-rated rows are dropped (and counted).
-    All surviving rows for one unordered pair are summed, and the edge takes
-    the sign of the total; a total of exactly 0 drops the pair. External ids are compacted to 0..n-1 in first
-    appearance order and kept in `node_labels`. Nodes seen only in dropped
-    rows are omitted.
+    header. Ratings are read exactly: integers as ints, anything else
+    (decimals, exponents, `a/b`) as a Fraction, so float rounding never
+    decides a sign. Self-loop rows and zero-rated rows are dropped (and
+    counted). All surviving rows for one unordered pair are summed, and the
+    edge takes the sign of the total; a total of exactly 0 drops the pair.
+    External ids are compacted to 0..n-1 in first appearance order and kept
+    in `node_labels`. Nodes seen only in dropped rows are omitted.
 
     Returns the graph and the load statistics. Raises ParseError with a line
-    number for malformed rows and nan or infinite ratings, or on input with
-    no data rows at all.
+    number for malformed rows and for nan, infinite or zero-denominator
+    ratings, or on input with no data rows at all.
     """
     sums: dict[tuple[str, str], int | Fraction] = {}
-    stats = LoadStats()
-    reader = csv.reader(stream)
-    for lineno, row in enumerate(reader, 1):
-        if not row or all(not f.strip() for f in row):
-            continue
-        if len(row) < 3:
-            if lineno == 1:
-                stats.header_skipped = True
-                continue
-            raise ParseError(f"expected source,target,rating[,time], got {len(row)} fields", lineno)
+    rows = self_loops = zero_ratings = merged = 0
+    header_skipped = False
+    for lineno, row in enumerate(csv.reader(stream), 1):
         try:
-            rating = _parse_number(row[2])
-        except ParseError as exc:
-            raise ParseError(str(exc), lineno) from None
-        except ValueError:
-            if lineno == 1:
-                stats.header_skipped = True
-                continue
-            raise ParseError(f"non-numeric rating {row[2]!r}", lineno) from None
-        stats.rows += 1
-        src = row[0].strip()
-        dst = row[1].strip()
+            rating: int | Fraction = int(row[2])
+        except (IndexError, ValueError):
+            if not any(f.strip() for f in row):
+                continue  # blank row
+            try:
+                rating = _parse_fraction(row[2])
+            except ParseError as exc:
+                raise ParseError(str(exc), lineno) from None
+            except (IndexError, ValueError):
+                if lineno == 1:
+                    header_skipped = True
+                    continue
+                problem = (f"non-numeric rating {row[2]!r}" if len(row) >= 3 else
+                           f"expected source,target,rating[,time], got {len(row)} fields")
+                raise ParseError(problem, lineno) from None
+        rows += 1
+        src, dst = row[0].strip(), row[1].strip()
         if src == dst:
-            stats.self_loop_rows += 1
+            self_loops += 1
             continue
-        if rating == 0:
-            stats.zero_rating_rows += 1
+        if not rating:
+            zero_ratings += 1
             continue
         key = (src, dst) if src <= dst else (dst, src)
-        if key in sums:
-            stats.merged_rows += 1
-            sums[key] += rating
-        else:
+        prev = sums.get(key)
+        if prev is None:
             sums[key] = rating
-    if stats.rows == 0:
+        else:
+            sums[key] = prev + rating
+            merged += 1
+    if rows == 0:
         raise ParseError("empty input: no data rows")
 
+    # Distinct unordered label pairs map to distinct id pairs: no checks needed.
     ids: dict[str, int] = {}
-    labels: list[str] = []
     edges: list[tuple[int, int, int]] = []
     for (a, b), total in sums.items():
-        if total == 0:
-            stats.zero_sum_pairs += 1
-            continue
-        for x in (a, b):
-            if x not in ids:
-                ids[x] = len(labels)
-                labels.append(x)
-        edges.append((ids[a], ids[b], 1 if total > 0 else -1))
-    g = SignedGraph(len(labels), edges, labels)
-    stats.nodes = g.node_count
-    stats.edges = g.edge_count
-    stats.pos_edges = g.pos_edge_count
-    stats.neg_edges = g.neg_edge_count
-    return g, stats
+        if total:
+            edges.append((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)),
+                          1 if total > 0 else -1))
+    g = SignedGraph._trusted(len(ids), edges, list(ids))
+    return g, LoadStats(
+        rows, header_skipped, zero_ratings, self_loops, merged, len(sums) - len(edges),
+        g.node_count, g.edge_count, g.pos_edge_count, g.neg_edge_count,
+    )
 
 
 def load_edge_list(stream: Iterable[str]) -> SignedGraph:
@@ -307,7 +316,7 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
         if declared_n < n:
             raise ParseError(f"header declares {declared_n} nodes but ids reach {max_id}")
         n = declared_n
-    return SignedGraph(n, [(u, v, s) for (u, v), s in edges.items()])
+    return SignedGraph._trusted(n, [(u, v, s) for (u, v), s in edges.items()])
 
 
 def write_edge_list(g: SignedGraph, stream: IO[str]) -> None:

@@ -20,7 +20,8 @@ PIPELINE_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class EdgeSplit:
-    """Disjoint train/test partition of a graph's signed edges."""
+    """Disjoint train/test partition of a graph's signed edges, as
+    `split_edges` takes them from a valid graph."""
 
     node_count: int
     train_edges: tuple[tuple[int, int, int], ...]
@@ -30,7 +31,7 @@ class EdgeSplit:
 
     def train_graph(self) -> SignedGraph:
         """Training edges over the full node set (test pairs are absent)."""
-        return SignedGraph(self.node_count, self.train_edges)
+        return SignedGraph._trusted(self.node_count, self.train_edges)
 
 
 def split_edges(

@@ -2,16 +2,19 @@
 
 Everything here is deliberately independent of the package's algorithms:
 triangle classification walks all node triples, traces come from dense
-matrix powers, greedy selection rescans the whole two-path table for every
-pick, F1 goes through explicit precision/recall, and the attack-evaluation
-sweep runs every budget on its own.
+matrix powers, the two-path table intersects adjacencies per edge and the
+census lists triangles one by one, greedy selection rescans the whole
+two-path table for every pick, F1 goes through explicit precision/recall,
+the attack-evaluation sweep runs every budget on its own, and the rating
+loader is the plain per-row loop with a validating graph constructor.
 """
 
 from __future__ import annotations
 
+import csv
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,13 +25,15 @@ from balattack import (
     STATUS_NO_CANDIDATES,
     AttackConfig,
     AttackTrace,
+    LoadStats,
+    ParseError,
     PipelineRow,
     SignedGraph,
     TwoPathTable,
     balance_degree,
-    count_signed_triangles,
     run_attack,
     split_edges,
+    two_path_sum,
 )
 from balattack.attack import _TraceState, as_fraction
 from balattack.prediction import evaluate_on_split
@@ -90,6 +95,140 @@ def trace_a3_of(matrix: np.ndarray) -> int:
 def two_paths_dense(g: SignedGraph) -> np.ndarray:
     a = adjacency_matrix(g)
     return a @ a
+
+
+def flip_delta(g: SignedGraph, u: int, v: int) -> int:
+    """Exact change of tr(A^3) caused by flipping the sign of edge {u,v}.
+
+    Flipping a_uv from a to -a changes each triangle through the edge by
+    -2a * (product of its other two signs); over both trace orientations
+    and the three diagonal positions that is -12 * a_uv * (A^2)_uv.
+    tr(|A|^3) is unaffected, so this is the whole balance-degree story.
+    """
+    return -12 * g.sign(u, v) * two_path_sum(g, u, v)
+
+
+def two_path_table_per_edge(g: SignedGraph) -> dict[tuple[int, int], int]:
+    """{(u, v): (A^2)_uv} for every edge in `g.edges()` order, one
+    adjacency intersection per edge."""
+    return {(u, v): two_path_sum(g, u, v) for u, v, _ in g.edges()}
+
+
+def table_consistent(table: TwoPathTable) -> bool:
+    """True iff every entry and the census of `table` equal a fresh
+    recomputation on its graph."""
+    g = table.graph
+    return (
+        dict(table.items()) == two_path_table_per_edge(g)
+        and table.census == census_by_listing(g)
+    )
+
+
+def _forward_neighbours(g: SignedGraph) -> list[list[int]]:
+    # Rank nodes by (degree, id); keep only edges pointing up-rank.
+    n = g.node_count
+    rank = sorted(range(n), key=lambda u: (g.degree(u), u))
+    pos = [0] * n
+    for i, u in enumerate(rank):
+        pos[u] = i
+    return [[v for v in g.adjacency(u) if pos[v] > pos[u]] for u in range(n)]
+
+
+def iter_triangles(g: SignedGraph) -> Iterator[tuple[int, int, int]]:
+    """Yield each triangle of g exactly once as a node triple."""
+    fwd = _forward_neighbours(g)
+    for u in range(g.node_count):
+        out = fwd[u]
+        for i, v in enumerate(out):
+            adj_v = g.adjacency(v)
+            for w in out[i + 1 :]:
+                if w in adj_v:
+                    yield u, v, w
+
+
+def census_by_listing(g: SignedGraph) -> tuple[int, int]:
+    """(balanced, unbalanced), classifying each listed triangle."""
+    balanced = unbalanced = 0
+    for u, v, w in iter_triangles(g):
+        adj_u = g.adjacency(u)
+        if adj_u[v] * adj_u[w] * g.adjacency(v)[w] > 0:
+            balanced += 1
+        else:
+            unbalanced += 1
+    return balanced, unbalanced
+
+
+def _parse_number(text: str) -> int | Fraction:
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return Fraction(text)  # "a/0" escapes as ZeroDivisionError
+    except ValueError:
+        float(text)
+        raise ParseError(f"non-finite rating {text!r}") from None
+
+
+def reference_load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
+    """`load_rating_csv` as a plain per-row loop: a blank-row test and a
+    full parse of every row, stats kept on the record, and the graph built
+    through the validating constructor."""
+    sums: dict[tuple[str, str], int | Fraction] = {}
+    stats = LoadStats()
+    for lineno, row in enumerate(csv.reader(stream), 1):
+        if not row or all(not f.strip() for f in row):
+            continue
+        if len(row) < 3:
+            if lineno == 1:
+                stats.header_skipped = True
+                continue
+            raise ParseError(f"expected source,target,rating[,time], got {len(row)} fields", lineno)
+        try:
+            rating = _parse_number(row[2])
+        except ParseError as exc:
+            raise ParseError(str(exc), lineno) from None
+        except ValueError:
+            if lineno == 1:
+                stats.header_skipped = True
+                continue
+            raise ParseError(f"non-numeric rating {row[2]!r}", lineno) from None
+        stats.rows += 1
+        src = row[0].strip()
+        dst = row[1].strip()
+        if src == dst:
+            stats.self_loop_rows += 1
+            continue
+        if rating == 0:
+            stats.zero_rating_rows += 1
+            continue
+        key = (src, dst) if src <= dst else (dst, src)
+        if key in sums:
+            stats.merged_rows += 1
+            sums[key] += rating
+        else:
+            sums[key] = rating
+    if stats.rows == 0:
+        raise ParseError("empty input: no data rows")
+    ids: dict[str, int] = {}
+    labels: list[str] = []
+    edges: list[tuple[int, int, int]] = []
+    for (a, b), total in sums.items():
+        if total == 0:
+            stats.zero_sum_pairs += 1
+            continue
+        for x in (a, b):
+            if x not in ids:
+                ids[x] = len(labels)
+                labels.append(x)
+        edges.append((ids[a], ids[b], 1 if total > 0 else -1))
+    g = SignedGraph(len(labels), edges, labels)
+    stats.nodes = g.node_count
+    stats.edges = g.edge_count
+    stats.pos_edges = g.pos_edge_count
+    stats.neg_edges = g.neg_edge_count
+    return g, stats
 
 
 def confusion_brute(preds: Sequence[int], labels: Sequence[int]) -> tuple[int, int, int, int]:
@@ -173,7 +312,7 @@ def scan_balance_attack(
     budget = cfg.budget_edges(g.edge_count)
     poisoned = g.copy()
     table = TwoPathTable.from_graph(poisoned)
-    state = _TraceState(count_signed_triangles(poisoned), cfg)
+    state = _TraceState(table.census, cfg)
     rng = random.Random(cfg.seed) if cfg.shuffle_ties else None
     if state.trace_abs > 0 and state.trace_a3 == -state.trace_abs:
         return poisoned, state.finish(cfg.mode, budget, STATUS_ALREADY_MINIMAL)

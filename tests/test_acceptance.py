@@ -26,7 +26,6 @@ from balattack import (
     attack_eval_pipeline,
     balance_degree,
     evaluate,
-    flip_delta,
     load_edge_list,
     run_balance_attack,
     run_random_attack,
@@ -34,7 +33,13 @@ from balattack import (
     write_edge_list,
 )
 from conftest import require_bitcoin_alpha
-from oracles import adjacency_matrix, f1_brute, trace_a3_of, triangle_census_triples
+from oracles import (
+    adjacency_matrix,
+    f1_brute,
+    flip_delta,
+    trace_a3_of,
+    triangle_census_triples,
+)
 from util import clustered_signed_graph, graph_with_triangles, random_signed_graph
 
 

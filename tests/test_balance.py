@@ -10,15 +10,18 @@ from balattack import (
     TwoPathTable,
     balance_degree,
     count_signed_triangles,
-    flip_delta,
     two_path_sum,
 )
 from oracles import (
     adjacency_matrix,
+    census_by_listing,
     d3_from_traces,
+    flip_delta,
+    table_consistent,
     trace_a3_of,
     traces_cubed,
     triangle_census_triples,
+    two_path_table_per_edge,
     two_paths_dense,
 )
 from util import clustered_signed_graph, random_signed_graph
@@ -134,6 +137,60 @@ class TestTwoPaths:
             t.get(0, 3)
 
 
+class TestTrianglePass:
+    """The one-walk table and census against per-edge intersection and
+    triangle-by-triangle classification."""
+
+    @staticmethod
+    def check(g):
+        t = TwoPathTable.from_graph(g)
+        assert list(t.items()) == list(two_path_table_per_edge(g).items())
+        assert t.census == census_by_listing(g) == count_signed_triangles(g)
+        return t
+
+    def test_matches_references_on_seeded_graphs(self):
+        rng = random.Random(53)
+        for i in range(120):
+            if i % 3:
+                g = random_signed_graph(rng, rng.randint(1, 40), rng.uniform(0, 0.6),
+                                        neg_frac=rng.random())
+            else:
+                g = clustered_signed_graph(rng, communities=rng.randint(1, 3),
+                                           size=rng.randint(2, 9), noise=rng.random() / 2)
+            self.check(g)
+
+    def test_triangle_free(self):
+        bipartite = [(u, v, 1 if (u + v) % 3 else -1) for u in range(4) for v in range(4, 9)]
+        t = self.check(SignedGraph(9, bipartite))
+        # A two-path between an edge's ends would close a triangle.
+        assert t.census == (0, 0) and len(t) == 20
+        assert all(p == 0 for _, p in t.items())
+
+    def test_all_unbalanced(self):
+        k5 = [(u, v, -1) for u in range(5) for v in range(u + 1, 5)]
+        t = self.check(SignedGraph(5, k5))
+        assert t.census == (0, 10)
+        assert all(p == 3 for _, p in t.items())
+
+    def test_isolated_nodes(self):
+        g = SignedGraph(12, [(3, 7, 1), (7, 10, -1), (3, 10, -1), (10, 11, 1)])
+        t = self.check(g)
+        assert t.census == (1, 0)
+        assert dict(t.items()) == {(3, 7): 1, (3, 10): -1, (7, 10): -1, (10, 11): 0}
+
+    def test_census_follows_flips_and_copies(self):
+        rng = random.Random(59)
+        g = clustered_signed_graph(rng, communities=3, size=7, noise=0.2)
+        t = TwoPathTable.from_graph(g)
+        pairs = t.pairs()
+        assert pairs == [(u, v) for u, v, _ in g.edges()]
+        for u, v in rng.sample(pairs, 40):
+            t.apply_flip(u, v)
+            assert t.census == census_by_listing(g)
+        twin = t.copy()
+        assert twin.census == t.census and table_consistent(twin)
+
+
 class TestFlipDelta:
     def test_k3(self):
         g = SignedGraph(3, K3)
@@ -180,9 +237,9 @@ class TestIncrementalTable:
     def test_check_consistent_detects_drift(self):
         g = SignedGraph(3, K3)
         t = TwoPathTable.from_graph(g)
-        assert t.check_consistent()
+        assert table_consistent(t)
         g.flip_edge(0, 1)  # mutate behind the table's back
-        assert not t.check_consistent()
+        assert not table_consistent(t)
 
     def test_flip_then_unflip_restores_table(self):
         rng = random.Random(31)
@@ -212,4 +269,4 @@ class TestIncrementalTable:
                 twin.apply_flip(u, v)
             assert twin.graph != g
             assert g == graph_before and dict(t.items()) == table_before
-            assert t.check_consistent() and twin.check_consistent()
+            assert table_consistent(t) and table_consistent(twin)

@@ -82,6 +82,12 @@ class TestStats:
         assert main(["stats", "--input", str(path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_zero_denominator_rating_reports_line(self, tmp_path, capsys):
+        path = tmp_path / "ratings.csv"
+        path.write_text("source,target,rating\n1,2,5\n2,3,1/0\n")
+        assert main(["stats", "--input", str(path)]) == 1
+        assert "error: line 3: zero denominator in rating '1/0'" in capsys.readouterr().err
+
     def test_gzip_input(self, tmp_path, capsys):
         path = tmp_path / "k3.edges.gz"
         with gzip.open(path, "wt") as f:

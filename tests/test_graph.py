@@ -169,6 +169,26 @@ class TestLoadRatingCsv:
             load_rating_csv(io.StringIO(text))
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text,line", [
+        ("source,target,rating\n1,2,5\n2,3,1/0\n", 3),
+        ("a,b,1/0\n", 1),
+        ("a,b,2\nb,c, -3/0 \n", 2),
+    ])
+    def test_zero_denominator_rejected_with_line_number(self, text, line):
+        with pytest.raises(ParseError, match="zero denominator") as exc:
+            load_rating_csv(io.StringIO(text))
+        assert exc.value.line == line
+
+    def test_ratio_ratings_sum_exactly(self):
+        g, stats = load_rating_csv(io.StringIO("a,b,1/3\nb,a,-2/6\nc,d,-1/7\n"))
+        assert stats.zero_sum_pairs == 1
+        assert g.node_labels == ["c", "d"] and g.sign(0, 1) == -1
+
+    def test_int_ratings_with_padding_take_the_fast_path_exactly(self):
+        g, stats = load_rating_csv(io.StringIO(" a , b , 7 \nb,a,-3\nb,c,+0\n"))
+        assert (stats.rows, stats.merged_rows, stats.zero_rating_rows) == (3, 1, 1)
+        assert g.node_labels == ["a", "b"] and g.sign(0, 1) == 1
+
     def test_stats_totals(self):
         _, stats = load_rating_csv(io.StringIO("1,2,1\n3,4,-2\n4,3,-2\n"))
         assert (stats.nodes, stats.edges, stats.pos_edges, stats.neg_edges) == (4, 2, 1, 1)
@@ -189,6 +209,17 @@ class TestLoadRatingCsv:
         g, stats = load_rating_csv(io.StringIO("1,2,3\n\n\n2,3,1\n"))
         assert g.edge_count == 2
         assert stats.rows == 2
+
+
+class TestTrustedConstruction:
+    def test_matches_the_validating_constructor(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            g = random_signed_graph(rng, rng.randint(0, 30), rng.uniform(0, 0.5))
+            h = SignedGraph._trusted(g.node_count, list(g.edges()), ["x"] * g.node_count)
+            assert h == g
+            assert (h.edge_count, h.pos_edge_count) == (g.edge_count, g.pos_edge_count)
+            assert h.node_labels == ["x"] * g.node_count
 
 
 class TestEdgeList:
