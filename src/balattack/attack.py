@@ -11,7 +11,7 @@ import logging
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .balance import TwoPathTable
 from .graph import SignedGraph
@@ -78,9 +78,8 @@ class AttackConfig:
         return min(edge_count, max(1, round(self.budget_fraction * edge_count)))
 
 
-@dataclass(frozen=True)
-class FlipRecord:
-    """One executed flip.
+class FlipRecord(NamedTuple):
+    """One executed flip; immutable, so trace prefixes can share records.
 
     `p_uv` is the two-path sum the flip was selected on (in batched mode
     that is the epoch-frozen value). `delta_trace` is the realized change
@@ -122,7 +121,7 @@ class AttackTrace:
         if trace_every > 1:
             last = len(recs)
             recs = [
-                r if r.step % trace_every == 0 or r.step == last else replace(r, d3=None)
+                r if r.step % trace_every == 0 or r.step == last else r._replace(d3=None)
                 for r in recs
             ]
         status = STATUS_BUDGET_EXHAUSTED if len(self.records) >= k else self.status
@@ -189,7 +188,7 @@ class _TraceState:
     def finish(self, mode: str, budget: int, status: str) -> AttackTrace:
         final = self.d3()
         if self.records and self.records[-1].d3 is None and self.trace_abs != 0:
-            self.records[-1] = replace(self.records[-1], d3=final)
+            self.records[-1] = self.records[-1]._replace(d3=final)
         return AttackTrace(
             mode=mode,
             budget=budget,
@@ -475,33 +474,62 @@ def run_attack(g: SignedGraph, cfg: AttackConfig) -> tuple[SignedGraph, AttackTr
     return run_balance_attack(g, cfg)
 
 
+def _unshared_random_budgets(
+    start: TwoPathTable, seed: int, full: AttackTrace, ks: Iterable[int]
+) -> set[int]:
+    """The edge budgets in ks whose own random sample is not the first k
+    flips of `full`, the run at the largest budget. CPython's `sample`
+    draws from a set or from a pool depending on k and the population
+    size, so a smaller sample is a prefix of a larger one only when both
+    draws take the same way; the comparison decides, not the rule."""
+    ks = {k for k in ks if k < full.budget}
+    if not ks:
+        return ks
+    pairs = start.pairs()
+    flipped = full.flipped_edges()
+    return {k for k in ks if random.Random(seed).sample(pairs, k) != flipped[:k]}
+
+
 def run_attack_budgets(
     g: SignedGraph, cfg: AttackConfig, fractions: Sequence[Fraction | float | str]
 ) -> Iterator[tuple[Fraction, SignedGraph, AttackTrace]]:
     """Attack g at each budget fraction in turn; yield (fraction, poisoned,
     trace), each equal to run_attack(g, replace(cfg, budget_fraction=f)).
 
-    Greedy modes run once, at the largest budget, and serve every budget
-    from a prefix of that run's trace. Random mode builds g's two-path
-    table once and flips each budget's own sample on a copy.
+    Every mode runs once, at the largest budget, and serves each budget
+    from a prefix of that run's trace. Greedy selection never looks at the
+    budget; a random budget is served only when its own sample is that
+    prefix, and otherwise flips its sample on a copy of g's two-path table.
     A budget's graph is built only when the caller asks for it, so a
     caller that drops each one before the next holds one at a time.
     """
     cfgs = [replace(cfg, budget_fraction=f) for f in fractions]
     if not cfgs:
         return
+    top = replace(max(cfgs, key=lambda c: c.budget_fraction), trace_every=1)
+    ks = [c.budget_edges(g.edge_count) for c in cfgs]
+    standalone: set[int] = set()
     if cfg.mode == MODE_RANDOM:
         start = TwoPathTable.from_graph(g)
-        for c in cfgs:
-            yield (c.budget_fraction, *run_random_attack(g, c, start=start))
-        return
-    top = max(cfgs, key=lambda c: c.budget_fraction)
-    poisoned, full = run_balance_attack(g, replace(top, trace_every=1))
+        poisoned, full = run_random_attack(g, top, start=start)
+        standalone = _unshared_random_budgets(start, cfg.seed, full, ks)
+        if not standalone:
+            start = None  # nothing left to flip from scratch
+        alone = sum(k in standalone for k in ks)
+        log.debug(
+            "random sweep: one run of %d flips served %d budgets, %d ran standalone",
+            len(full.records), len(ks) - alone, alone,
+        )
+    else:
+        poisoned, full = run_balance_attack(g, top)
     replay = len(cfgs) > 1
     if replay:
         poisoned = None  # each budget replays its own prefix instead
-    for c in cfgs:
-        trace = full.prefix(c.budget_edges(g.edge_count), c.trace_every)
+    for c, k in zip(cfgs, ks):
+        if k in standalone:
+            yield (c.budget_fraction, *run_random_attack(g, c, start=start))
+            continue
+        trace = full.prefix(k, c.trace_every)
         yield c.budget_fraction, apply_flips(g, trace.flipped_edges()) if replay else poisoned, trace
 
 

@@ -9,6 +9,7 @@ to regenerate the outputs byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import gc
 import gzip
 import io
 import json
@@ -32,7 +33,7 @@ from .attack import (
     run_attack_budgets,
 )
 from .balance import BalanceReport, balance_degree
-from .graph import ParseError, SignedGraph, load_edge_list, load_rating_csv, write_edge_list
+from .graph import SignedGraph, load_edge_list, load_rating_csv, write_edge_list
 from .prediction import attack_eval_pipeline, write_pipeline_csv
 
 log = logging.getLogger("balattack")
@@ -51,34 +52,24 @@ STATS_CSV_COLUMNS = "n,m,pos_edges,neg_edges,balanced,unbalanced,d3"
 # argument parsing helpers
 
 
-def _fraction_token(token: str, *, lo_open: bool, hi: Fraction) -> tuple[str, Fraction]:
+def _fraction(
+    token: str, what: str, lo_open: bool, hi_open: bool = False
+) -> tuple[str, Fraction]:
+    """The token and its exact value, which must lie in [0, 1] less the
+    ends marked open."""
     token = token.strip()
     try:
         frac = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {token!r}") from None
-    if frac > hi or frac < 0 or (lo_open and frac == 0):
-        low = "(0" if lo_open else "[0"
-        raise argparse.ArgumentTypeError(f"budget {token} outside {low}, {hi}]")
+    if frac < 0 or frac > 1 or (lo_open and frac == 0) or (hi_open and frac == 1):
+        span = f"{'(' if lo_open else '['}0, 1{')' if hi_open else ']'}"
+        raise argparse.ArgumentTypeError(f"{what} {token} outside {span}")
     return token, frac
 
 
-def _budget_list_attack(text: str) -> list[tuple[str, Fraction]]:
-    return [_fraction_token(t, lo_open=True, hi=Fraction(1)) for t in text.split(",")]
-
-
-def _budget_list_eval(text: str) -> list[tuple[str, Fraction]]:
-    return [_fraction_token(t, lo_open=False, hi=Fraction(1)) for t in text.split(",")]
-
-
-def _train_frac(text: str) -> Fraction:
-    try:
-        frac = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0 < frac < 1:
-        raise argparse.ArgumentTypeError(f"train fraction {text} outside (0, 1)")
-    return frac
+def _budget_list(lo_open: bool):
+    return lambda text: [_fraction(t, "budget", lo_open) for t in text.split(",")]
 
 
 def _mode_list(text: str) -> list[str]:
@@ -117,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="flip edge signs to reduce the balance degree")
     add_input(p)
     p.add_argument("--mode", choices=tuple(CLI_MODES), default="balance")
-    p.add_argument("--budget", required=True, type=_budget_list_attack, metavar="FRAC[,FRAC...]",
+    p.add_argument("--budget", required=True, type=_budget_list(True), metavar="FRAC[,FRAC...]",
                    help="edge fraction(s) in (0,1]; several budgets share one "
                    "greedy run in the balance modes")
     p.add_argument("--batch-size", type=int, default=10, metavar="N",
@@ -133,13 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", type=_mode_list, default=["balance", "random"],
                    metavar="MODE[,MODE...]",
                    help="comma-separated attack modes (default balance,random)")
-    p.add_argument("--budget", required=True, type=_budget_list_eval, metavar="FRAC[,FRAC...]",
+    p.add_argument("--budget", required=True, type=_budget_list(False), metavar="FRAC[,FRAC...]",
                    help="edge fraction(s) in [0,1]; a 0 clean-baseline row is "
                    "always included")
     p.add_argument("--batch-size", type=int, default=10, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N", help="attack seed")
     p.add_argument("--split-seed", type=int, default=0, metavar="N")
-    p.add_argument("--train-frac", type=_train_frac, default=Fraction(4, 5), metavar="F")
+    p.add_argument("--train-frac", type=lambda t: _fraction(t, "train fraction", True, True)[1],
+                   default=Fraction(4, 5), metavar="F")
     p.add_argument("--out-csv", metavar="PATH", help="pipeline CSV (default: stdout)")
     p.set_defaults(func=cmd_eval)
 
@@ -195,15 +187,10 @@ def _fmt_d3(d3) -> str:
     return "undefined" if d3 is None else repr(float(d3))
 
 
-def _render_graph(g: SignedGraph) -> str:
+def _render(write, obj) -> str:
+    """What `write(obj, stream)` writes, as a string."""
     buf = io.StringIO()
-    write_edge_list(g, buf)
-    return buf.getvalue()
-
-
-def _render_trace(trace: AttackTrace) -> str:
-    buf = io.StringIO()
-    trace.write_csv(buf)
+    write(obj, buf)
     return buf.getvalue()
 
 
@@ -310,11 +297,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
         outputs: dict[str, str] = {}
         if args.out_graph:
             path = _budget_path(args.out_graph, token, multi)
-            _write_file(path, _render_graph(poisoned))
+            _write_file(path, _render(write_edge_list, poisoned))
             outputs["graph"] = path
         if args.out_trace:
             path = _budget_path(args.out_trace, token, multi)
-            _write_file(path, _render_trace(trace))
+            _write_file(path, _render(AttackTrace.write_csv, trace))
             outputs["trace"] = path
         del poisoned  # before the sweep builds the next budget's graph
         _write_manifest(next(iter(outputs.values())), RunManifest(
@@ -377,9 +364,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         g, dataset, args.budget, args.mode, args.seed, args.split_seed,
         args.train_frac, args.batch_size,
     )
-    buf = io.StringIO()
-    write_pipeline_csv(rows, buf)
-    content = buf.getvalue()
+    content = _render(write_pipeline_csv, rows)
     if args.out_csv:
         _write_file(args.out_csv, content)
         _write_manifest(args.out_csv, RunManifest(
@@ -422,8 +407,8 @@ def cmd_rerun(args: argparse.Namespace) -> int:
             batch_size=man.config["batch_size"], seed=man.config["seed"],
         )
         ((_, poisoned, trace),) = run_attack_budgets(g, cfg, [cfg.budget_fraction])
-        contents["graph"] = _render_graph(poisoned)
-        contents["trace"] = _render_trace(trace)
+        contents["graph"] = _render(write_edge_list, poisoned)
+        contents["trace"] = _render(AttackTrace.write_csv, trace)
     elif man.command == "eval":
         budgets = [(t, Fraction(t)) for t in man.config["budgets"]]
         _, rows = _eval_rows(
@@ -431,9 +416,7 @@ def cmd_rerun(args: argparse.Namespace) -> int:
             man.config["seed"], man.config["split_seed"],
             Fraction(man.config["train_frac"]), man.config["batch_size"],
         )
-        buf = io.StringIO()
-        write_pipeline_csv(rows, buf)
-        contents["csv"] = buf.getvalue()
+        contents["csv"] = _render(write_pipeline_csv, rows)
     else:
         raise ValueError(f"manifest has unknown command {man.command!r}")
 
@@ -468,16 +451,22 @@ def _configure_logging() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command. The cyclic garbage collector stays off meanwhile:
+    the command's data (ints, tuples, dicts, Fractions) holds no cycles,
+    so refcounting frees it, and a collection would only walk it. The
+    caller's collector state is restored on the way out."""
     _configure_logging()
     args = build_parser().parse_args(argv)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -10,6 +10,15 @@ from typing import IO, Iterable, Iterator
 
 _SIGN_TOKENS = {"+1": 1, "1": 1, "+": 1, "-1": -1, "-": -1}
 _NODES_HEADER = re.compile(r"#\s*nodes\s*=\s*(\d+)\s*$")
+# A decimal with an exponent, as Fraction reads it; group 1 is the exponent.
+_DECIMAL_EXPONENT = re.compile(
+    r"[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE][-+]?(\d+(?:_\d+)*)"
+)
+# Fraction builds 10**exp exactly, so without a bound a few bytes of rating
+# text could ask for any amount of memory and time. This is CPython's
+# default int-string digit limit (sys.get_int_max_str_digits, which 3.10.6
+# and older lack and which can be switched off).
+MAX_RATING_EXPONENT = 4300
 
 
 class ParseError(ValueError):
@@ -190,8 +199,16 @@ class LoadStats:
 def _parse_fraction(text: str) -> Fraction:
     """Exact value of a rating field that is no int. ValueError on text
     that is no number; ParseError on a zero denominator, nan or an infinity,
-    none of which may sum into a total and land on a sign."""
+    none of which may sum into a total and land on a sign, and on a decimal
+    exponent beyond +-MAX_RATING_EXPONENT."""
     text = text.strip()
+    exp = _DECIMAL_EXPONENT.fullmatch(text)
+    if exp:
+        digits = exp.group(1).replace("_", "")  # more digits than the bound: over it
+        if len(digits) > MAX_RATING_EXPONENT or int(digits) > MAX_RATING_EXPONENT:
+            raise ParseError(
+                f"exponent of rating {text!r} exceeds {MAX_RATING_EXPONENT} in magnitude"
+            )
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -215,8 +232,8 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
     in `node_labels`. Nodes seen only in dropped rows are omitted.
 
     Returns the graph and the load statistics. Raises ParseError with a line
-    number for malformed rows and for nan, infinite or zero-denominator
-    ratings, or on input with no data rows at all.
+    number for malformed rows, for nan, infinite or zero-denominator ratings
+    and exponents past MAX_RATING_EXPONENT, or on input with no data rows.
     """
     sums: dict[tuple[str, str], int | Fraction] = {}
     rows = self_loops = zero_ratings = merged = 0

@@ -29,6 +29,7 @@ from balattack import (
     verify_perturbation,
     write_edge_list,
 )
+from balattack import attack as attack_module
 from oracles import adjacency_matrix, scan_balance_attack, trace_a3_of, traces_cubed
 from util import clustered_signed_graph, graph_with_triangles, random_signed_graph
 
@@ -390,14 +391,35 @@ class TestHeapMatchesScan:
         assert pops >= stale + len(trace.records)
 
 
+@pytest.fixture
+def random_runs(monkeypatch) -> list:
+    """Counts run_random_attack calls (one list entry per call)."""
+    calls: list = []
+    real = attack_module.run_random_attack
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].budget_fraction)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attack_module, "run_random_attack", counted)
+    return calls
+
+
+def graph_with_m_edges(rng: random.Random, n: int, m: int) -> SignedGraph:
+    pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], m)
+    return SignedGraph(n, [(u, v, rng.choice((1, -1))) for u, v in pairs])
+
+
 class TestBudgetSweep:
     """run_attack_budgets against one standalone run_attack per budget."""
 
     MODES = TestHeapMatchesScan.GREEDY + ((MODE_RANDOM, 10),)
 
-    def test_matches_standalone_runs_on_seeded_graphs(self):
+    def test_matches_standalone_runs_on_seeded_graphs(self, random_runs):
         rng = random.Random(2402)
         statuses: Counter = Counter()
+        # random sweeps over 2+ edge budgets: served by one run, or not
+        random_sweeps: Counter = Counter()
         graphs = 0
         for i in range(340):
             g = seeded_attack_graph(rng, i)
@@ -417,7 +439,16 @@ class TestBudgetSweep:
                     budget_fraction=1, mode=mode, batch_size=batch_size, seed=i,
                     shuffle_ties=i % 5 == 0, trace_every=3 if i % 6 == 1 else 1,
                 )
+                before = len(random_runs)
                 got = list(run_attack_budgets(g, cfg, fractions))
+                runs = len(random_runs) - before
+                ks = {replace(cfg, budget_fraction=f).budget_edges(m) for f in fractions}
+                if mode == MODE_RANDOM:
+                    assert 1 <= runs <= len(ks)
+                    if len(ks) > 1:
+                        random_sweeps["one run" if runs == 1 else "fallback"] += 1
+                else:
+                    assert runs == 0
                 assert [f for f, _, _ in got] == fractions
                 for f, poisoned, trace in got:
                     want_graph, want_trace = run_attack(g, replace(cfg, budget_fraction=f))
@@ -429,6 +460,29 @@ class TestBudgetSweep:
         assert set(statuses) == {
             STATUS_BUDGET_EXHAUSTED, STATUS_NO_CANDIDATES, STATUS_ALREADY_MINIMAL
         }
+        assert random_sweeps["one run"] >= 100 and random_sweeps["fallback"] >= 5, random_sweeps
+
+    @pytest.mark.parametrize("small, large, runs", [(10, 20, 1), (10, 40, 2)])
+    def test_random_prefix_depends_on_how_sample_draws(
+        self, random_runs, caplog, small, large, runs
+    ):
+        # With 200 pairs, sample() draws 10 and 20 edges from a set but 40
+        # from a pool. Draws taken the same way share their prefix; at seed 1
+        # the pool's first 10 picks differ from the set's.
+        g = graph_with_m_edges(random.Random(41), 30, 200)
+        pairs = [(u, v) for u, v, _ in g.edges()]
+        prefix = random.Random(1).sample(pairs, large)[:small]
+        assert (prefix == random.Random(1).sample(pairs, small)) == (runs == 1)
+        cfg = AttackConfig(budget_fraction=1, mode=MODE_RANDOM, seed=1)
+        fractions = [Fraction(small, 200), Fraction(large, 200)]
+        with caplog.at_level(logging.DEBUG, logger="balattack"):
+            got = list(run_attack_budgets(g, cfg, fractions))
+        assert random_runs == [fractions[1]] + [fractions[0]] * (runs - 1)
+        (line,) = [r.getMessage() for r in caplog.records if "random sweep" in r.getMessage()]
+        assert f"one run of {large} flips served {3 - runs} budgets, {runs - 1} ran standalone" in line
+        for f, poisoned, trace in got:
+            want_graph, want_trace = run_random_attack(g, replace(cfg, budget_fraction=f))
+            assert (poisoned, trace) == (want_graph, want_trace)
 
     def test_empty_budget_list_runs_nothing(self):
         assert list(run_attack_budgets(SignedGraph(2), AttackConfig(budget_fraction=1), [])) == []
@@ -515,6 +569,15 @@ class TestVerifyPerturbation:
     def test_node_set_mismatch_raises(self):
         with pytest.raises(ValueError, match="node sets"):
             verify_perturbation(k3(), SignedGraph(4, K3), 1)
+
+
+def test_flip_record_rejects_assignment():
+    # AttackTrace.prefix shares record objects between traces.
+    _, trace = run_balance_attack(k3(), AttackConfig(budget_fraction=1))
+    rec = trace.records[0]
+    with pytest.raises(AttributeError):
+        rec.d3 = None
+    assert rec._replace(d3=None).d3 is None and rec.d3 == 0
 
 
 def test_trace_csv_format():

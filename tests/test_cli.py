@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
+import gc
 import gzip
+import io
 import json
 import os
 import random
@@ -10,7 +13,7 @@ import sys
 
 import pytest
 
-from balattack import SignedGraph, attack, load_edge_list, write_edge_list
+from balattack import SignedGraph, attack, cli, load_edge_list, write_edge_list
 from balattack.cli import main
 from util import clustered_signed_graph
 
@@ -227,6 +230,68 @@ class TestEval:
         capsys.readouterr()
         assert main(["rerun", "--manifest", str(manifest_path)]) == 0
         assert "reproduced" in capsys.readouterr().out
+
+
+    def test_dataset_name_with_a_comma_is_quoted(self, clustered_file, tmp_path, capsys):
+        _, g = clustered_file
+        path = tmp_path / "dir" / "a,b.csv"
+        path.parent.mkdir()
+        path.write_text("".join(f"{u},{v},{s}\n" for u, v, s in g.edges()))
+        assert main(["eval", "--input", str(path), "--mode", "random", "--budget", "0,0.2"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert len(rows) == 3 and len(rows[0]) == 9  # the header, then two rows
+        for row in rows[1:]:
+            assert len(row) == 9 and row[:2] == ["a,b", "random"]
+
+
+class TestGarbageCollector:
+    """main() runs each command with the cyclic collector off and restores
+    the caller's setting."""
+
+    @pytest.fixture(autouse=True)
+    def collector_on_afterwards(self):
+        yield
+        gc.enable()
+
+    def test_off_during_the_command_and_restored(self, k3_file, monkeypatch, capsys):
+        seen = []
+        real = cli.balance_degree
+        monkeypatch.setattr(cli, "balance_degree", lambda g: seen.append(gc.isenabled()) or real(g))
+        gc.enable()
+        assert main(["stats", "--input", str(k3_file)]) == 0
+        assert seen == [False] and gc.isenabled()
+
+    def test_restored_after_an_error_exit(self, tmp_path, capsys):
+        gc.enable()
+        assert main(["stats", "--input", str(tmp_path / "missing.edges")]) == 1
+        assert gc.isenabled()
+        with pytest.raises(SystemExit):
+            main(["attack", "--input", str(tmp_path / "missing.edges"), "--budget", "2"])
+        assert gc.isenabled()
+
+    def test_stays_off_when_it_was_off(self, k3_file, tmp_path, capsys):
+        gc.disable()
+        assert main(["stats", "--input", str(k3_file)]) == 0
+        assert main(["stats", "--input", str(tmp_path / "missing.edges")]) == 1
+        assert not gc.isenabled()
+
+    def test_eval_leaves_no_cycles_that_grow_with_the_graph(self, tmp_path, capsys):
+        # Every cycle an eval leaves behind is garbage the collector would
+        # have to find; a per-edge cycle would make the count grow with m.
+        found = []
+        for size in (8, 40):
+            g = clustered_signed_graph(random.Random(3), communities=2, size=size,
+                                       p_in=0.5, p_out=0.2, noise=0.1)
+            path = tmp_path / f"g{size}.edges"
+            with open(path, "w") as f:
+                write_edge_list(g, f)
+            gc.collect()
+            gc.disable()
+            assert main(["eval", "--input", str(path), "--budget", "0,0.1,0.2",
+                         "--mode", "balance,balance-batched,random"]) == 0
+            found.append(gc.collect())
+            gc.enable()
+        assert found[1] <= found[0] < 1000, found
 
 
 class TestRerun:

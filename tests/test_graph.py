@@ -179,6 +179,25 @@ class TestLoadRatingCsv:
             load_rating_csv(io.StringIO(text))
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text, line", [
+        ("a,b,1\nc,d,1e100000\n", 2),
+        ("a,b,-2.5E-100000\n", 1),
+        ("x,y,2\nb,c,3\na,b,  7_0.5e4_301 \n", 3),
+        ("a,b,1e00010000\n", 1),
+        # more digits than the bound, whatever their value
+        ("a,b,1e" + "1" * 5000 + "\n", 1),
+        ("a,b,1e" + "0" * 4297 + "4300\n", 1),
+    ])
+    def test_exponent_beyond_bound_rejected_with_line_number(self, text, line):
+        with pytest.raises(ParseError, match="exponent") as exc:
+            load_rating_csv(io.StringIO(text))
+        assert exc.value.line == line
+
+    def test_exponent_at_bound_accepted(self):
+        text = "a,b,1e4300\nb,c,-1e-4300\nc,d,1E" + "0" * 4296 + "4300\n"
+        g, stats = load_rating_csv(io.StringIO(text))
+        assert stats.rows == 3 and g.pos_edge_count == 2 and g.neg_edge_count == 1
+
     def test_ratio_ratings_sum_exactly(self):
         g, stats = load_rating_csv(io.StringIO("a,b,1/3\nb,a,-2/6\nc,d,-1/7\n"))
         assert stats.zero_sum_pairs == 1

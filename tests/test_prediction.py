@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import csv
+import io
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,7 +21,9 @@ from balattack import (
     run_balance_attack,
     split_edges,
     triad_vote_predict,
+    write_pipeline_csv,
 )
+from balattack.prediction import evaluate_on_split
 from oracles import f1_brute, reference_attack_eval_pipeline
 from util import clustered_signed_graph, random_signed_graph
 
@@ -95,6 +101,50 @@ class TestTriadVote:
         train = SignedGraph(3, [(0, 1, 1)])
         with pytest.raises(ValueError):
             triad_vote_predict(train, 0, 9)
+
+
+def signed_graph_with_balanced_signs(rng: random.Random, n: int, p: float) -> SignedGraph:
+    """As many negative edges as positive ones (an even edge count)."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    pairs = pairs[: len(pairs) // 2 * 2]
+    signs = [1, -1] * (len(pairs) // 2)
+    rng.shuffle(signs)
+    return SignedGraph(n, [(u, v, s) for (u, v), s in zip(pairs, signs)])
+
+
+class TestEvaluateOnSplit:
+    """The bound-adjacency vote against per-pair triad_vote_predict."""
+
+    def test_matches_per_pair_vote_on_seeded_graphs(self):
+        rng = random.Random(1907)
+        cases: Counter = Counter()
+        for i in range(150):
+            n = rng.randint(3, 24)
+            if i % 3 == 0:
+                train = signed_graph_with_balanced_signs(rng, n, rng.uniform(0.1, 0.7))
+            else:
+                train = random_signed_graph(rng, n, rng.uniform(0.05, 0.7), rng.uniform(0, 1))
+            test = [(u, v, rng.choice((1, -1)))
+                    for u, v in (rng.sample(range(n), 2) for _ in range(rng.randint(1, 40)))]
+            want = evaluate([triad_vote_predict(train, u, v) for u, v, _ in test],
+                            [s for _, _, s in test])
+            assert evaluate_on_split(train, test) == want, i
+            tied_signs = train.pos_edge_count == train.neg_edge_count
+            for u, v, _ in test:
+                common = train.adjacency(u).keys() & train.adjacency(v).keys()
+                if not common:
+                    cases["no common neighbour"] += 1
+                elif not sum(train.sign(u, w) * train.sign(w, v) for w in common):
+                    cases["zero score" + (", pos = neg" if tied_signs else "")] += 1
+                if tied_signs and train.edge_count:
+                    cases["pos = neg"] += 1
+        assert min(cases.values()) >= 20 and len(cases) == 4, cases
+
+    def test_unknown_node(self):
+        train = SignedGraph(3, [(0, 1, 1)])
+        for pair in ((0, 9, 1), (-1, 1, 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                evaluate_on_split(train, [pair])
 
 
 class TestEvaluate:
@@ -282,3 +332,17 @@ def test_pipeline_csv_layout():
     assert first[1] == MODE_RANDOM
     assert float(first[2]) == 0.0
     float(first[4])  # metrics parse as floats
+
+
+def test_pipeline_csv_quotes_the_dataset_name():
+    g = clustered_signed_graph(random.Random(11), communities=2, size=10, p_in=0.6, p_out=0.3)
+    rows = attack_eval_pipeline(g, [0, 0.2], [MODE_RANDOM], split_seed=1)
+    for name in ("a,b", 'say "hi"', "two\nlines"):
+        buf = io.StringIO()
+        write_pipeline_csv([replace(r, dataset=name) for r in rows], buf)
+        parsed = list(csv.reader(io.StringIO(buf.getvalue())))[2:]
+        assert [len(r) for r in parsed] == [9] * len(rows)
+        assert {r[0] for r in parsed} == {name}
+    plain = io.StringIO()
+    write_pipeline_csv(rows, plain)
+    assert plain.getvalue().splitlines()[2].startswith("graph,random,0.0,")
