@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .balance import TwoPathTable
-from .graph import SignedGraph
+from .graph import SignedGraph, parse_fraction
 
 MODE_BALANCE_SEQUENTIAL = "balance_sequential"
 MODE_BALANCE_BATCHED = "balance_batched"
@@ -31,11 +31,13 @@ TRACE_CSV_COLUMNS = "step,u,v,old_sign,p_uv,delta_trace,d3"
 log = logging.getLogger(__name__)
 
 
-def as_fraction(x: Fraction | float | int | str) -> Fraction:
-    """Exact value of a budget or split fraction. Floats go through their
-    decimal repr, so 0.05 means 1/20, not the nearest binary double."""
-    if isinstance(x, float):
-        return Fraction(str(x))
+def as_fraction(x: Fraction | float | int | str, what: str = "fraction") -> Fraction:
+    """Exact value of a budget or split fraction, `what` naming it in
+    errors. Text, and a float by its decimal repr (so 0.05 means 1/20, not
+    the nearest binary double), goes through the rating loader's parse,
+    exponent bound included."""
+    if isinstance(x, (float, str)):
+        return parse_fraction(str(x), what)
     return Fraction(x)
 
 
@@ -60,9 +62,9 @@ class AttackConfig:
     shuffle_ties: bool = False
 
     def __post_init__(self):
-        frac = as_fraction(self.budget_fraction)
+        frac = as_fraction(self.budget_fraction, "budget_fraction")
         if not 0 < frac <= 1:
-            raise ValueError(f"budget_fraction must be in (0, 1], got {frac}")
+            raise ValueError(f"budget_fraction must be in (0, 1], got {self.budget_fraction}")
         object.__setattr__(self, "budget_fraction", frac)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")

@@ -1,9 +1,11 @@
 """Command-line entry point: dataset stats, attacks, evaluation sweeps, and
 bit-exact reruns from saved manifests.
 
-Every file-producing run drops a `<first-output>.manifest.json` sidecar that
-records enough (input, format, config, seeds, version) for `balattack rerun`
-to regenerate the outputs byte-for-byte.
+Each command is one generator of (role, text) outputs from a graph and the
+config its manifest records. Every file-producing run drops one
+`<first-output>.manifest.json` sidecar that records enough (input and its
+digest, format, config, version) for `balattack rerun` to feed the same
+config to the same generator and compare the outputs byte-for-byte.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -30,9 +31,10 @@ from .attack import (
     MODE_RANDOM,
     AttackConfig,
     AttackTrace,
+    as_fraction,
     run_attack_budgets,
 )
-from .balance import BalanceReport, balance_degree
+from .balance import balance_degree
 from .graph import SignedGraph, load_edge_list, load_rating_csv, write_edge_list
 from .prediction import attack_eval_pipeline, write_pipeline_csv
 
@@ -45,31 +47,34 @@ CLI_MODES = {
 }
 
 STATS_CSV_SCHEMA = "balance-report/1"
-STATS_CSV_COLUMNS = "n,m,pos_edges,neg_edges,balanced,unbalanced,d3"
 
 
 # ---------------------------------------------------------------------------
-# argument parsing helpers
+# argument parsing helpers: each returns the JSON value a manifest records
 
 
-def _fraction(
-    token: str, what: str, lo_open: bool, hi_open: bool = False
-) -> tuple[str, Fraction]:
-    """The token and its exact value, which must lie in [0, 1] less the
-    ends marked open."""
+def _fraction(token: str, what: str, lo_open: bool, hi_open: bool = False) -> str:
+    """The token, whose exact value must lie in [0, 1] less the ends
+    marked open."""
     token = token.strip()
     try:
-        frac = Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {token!r}") from None
+        frac = as_fraction(token, what)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if frac < 0 or frac > 1 or (lo_open and frac == 0) or (hi_open and frac == 1):
         span = f"{'(' if lo_open else '['}0, 1{')' if hi_open else ']'}"
         raise argparse.ArgumentTypeError(f"{what} {token} outside {span}")
-    return token, frac
+    return token
 
 
 def _budget_list(lo_open: bool):
     return lambda text: [_fraction(t, "budget", lo_open) for t in text.split(",")]
+
+
+def _eval_budgets(text: str) -> list[str]:
+    """The budgets, led by a clean-baseline "0" unless they hold a zero."""
+    tokens = _budget_list(False)(text)
+    return tokens if any(as_fraction(t) == 0 for t in tokens) else ["0", *tokens]
 
 
 def _mode_list(text: str) -> list[str]:
@@ -84,8 +89,16 @@ def _mode_list(text: str) -> list[str]:
     return modes
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _ManifestParser(argparse.ArgumentParser):
+    """Raises ValueError where the command line would print usage and exit,
+    so that a manifest's config meets the flags' own checks."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = cls(
         prog="balattack",
         description="Balance-degree stats, sign-flip attacks, and link sign "
         "prediction evaluation on signed graphs.",
@@ -93,22 +106,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add_input(p: argparse.ArgumentParser) -> None:
+    def add_command(name: str, summary: str, outputs, config_keys: tuple[str, ...]):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--input", required=True, metavar="PATH",
                        help="input graph (.gz transparently decompressed)")
         p.add_argument("--format", choices=("rating-csv", "edge-list"), default=None,
                        help="input format (default: rating-csv if the file name "
                        "contains .csv, else edge-list)")
+        p.set_defaults(func=cmd_run, outputs=outputs, config_keys=config_keys)
+        return p
 
-    p = sub.add_parser("stats", help="print balance summary of a graph")
-    add_input(p)
+    p = add_command("stats", "print balance summary of a graph", _stats_outputs, ())
     p.add_argument("--out-csv", metavar="PATH", help="also write the summary as CSV")
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("attack", help="flip edge signs to reduce the balance degree")
-    add_input(p)
+    p = add_command("attack", "flip edge signs to reduce the balance degree",
+                    _attack_outputs, ("mode", "budgets", "batch_size", "seed"))
     p.add_argument("--mode", choices=tuple(CLI_MODES), default="balance")
-    p.add_argument("--budget", required=True, type=_budget_list(True), metavar="FRAC[,FRAC...]",
+    p.add_argument("--budget", dest="budgets", required=True, type=_budget_list(True),
+                   metavar="FRAC[,FRAC...]",
                    help="edge fraction(s) in (0,1]; several budgets share one "
                    "greedy run in the balance modes")
     p.add_argument("--batch-size", type=int, default=10, metavar="N",
@@ -117,39 +132,34 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rng seed for random mode (default 0)")
     p.add_argument("--out-graph", metavar="PATH", help="write the attacked graph here")
     p.add_argument("--out-trace", metavar="PATH", help="write the per-flip trace CSV here")
-    p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("eval", help="attack the train split and score link sign prediction")
-    add_input(p)
-    p.add_argument("--mode", type=_mode_list, default=["balance", "random"],
+    p = add_command("eval", "attack the train split and score link sign prediction",
+                    _eval_outputs,
+                    ("modes", "budgets", "seed", "split_seed", "train_frac", "batch_size"))
+    p.add_argument("--mode", dest="modes", type=_mode_list, default=["balance", "random"],
                    metavar="MODE[,MODE...]",
                    help="comma-separated attack modes (default balance,random)")
-    p.add_argument("--budget", required=True, type=_budget_list(False), metavar="FRAC[,FRAC...]",
+    p.add_argument("--budget", dest="budgets", required=True, type=_eval_budgets,
+                   metavar="FRAC[,FRAC...]",
                    help="edge fraction(s) in [0,1]; a 0 clean-baseline row is "
                    "always included")
     p.add_argument("--batch-size", type=int, default=10, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N", help="attack seed")
     p.add_argument("--split-seed", type=int, default=0, metavar="N")
-    p.add_argument("--train-frac", type=lambda t: _fraction(t, "train fraction", True, True)[1],
-                   default=Fraction(4, 5), metavar="F")
+    p.add_argument("--train-frac", type=lambda t: _fraction(t, "train fraction", True, True),
+                   default="4/5", metavar="F")
     p.add_argument("--out-csv", metavar="PATH", help="pipeline CSV (default: stdout)")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("rerun", help="re-execute a saved manifest and verify outputs")
     p.add_argument("--manifest", required=True, metavar="PATH")
     p.set_defaults(func=cmd_rerun)
 
+    parser.commands = sub.choices  # name -> subparser
     return parser
 
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-
-def _open_text(path: str):
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", newline="")
-    return open(path, encoding="utf-8", newline="")
 
 
 def _resolve_format(path: str, fmt: str | None) -> str:
@@ -162,7 +172,8 @@ def _resolve_format(path: str, fmt: str | None) -> str:
 
 def _load_graph(path: str, fmt: str) -> SignedGraph:
     t0 = time.perf_counter()
-    with _open_text(path) as f:
+    opener = gzip.open if path.endswith(".gz") else open
+    with opener(path, "rt", encoding="utf-8", newline="") as f:
         if fmt == "rating-csv":
             g, stats = load_rating_csv(f)
             log.info(
@@ -179,12 +190,14 @@ def _load_graph(path: str, fmt: str) -> SignedGraph:
     return g
 
 
-def _dataset_name(path: str) -> str:
-    return Path(path).name.partition(".")[0] or "graph"
-
-
-def _fmt_d3(d3) -> str:
-    return "undefined" if d3 is None else repr(float(d3))
+def _digest(path: str) -> tuple[str, int]:
+    """The sha256 and byte size of a file as stored (a .gz undecompressed)."""
+    import hashlib  # loads OpenSSL, about 3 MB of RSS; a run gets here after its peak
+    sha = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            sha.update(chunk)
+        return sha.hexdigest(), f.tell()
 
 
 def _render(write, obj) -> str:
@@ -194,19 +207,13 @@ def _render(write, obj) -> str:
     return buf.getvalue()
 
 
-def _render_stats_csv(rep: BalanceReport) -> str:
-    d3 = "" if rep.d3 is None else repr(float(rep.d3))
-    return (
-        f"# schema={STATS_CSV_SCHEMA}\n"
-        + STATS_CSV_COLUMNS + "\n"
-        + f"{rep.n},{rep.m},{rep.pos_edges},{rep.neg_edges},"
-        + f"{rep.balanced},{rep.unbalanced},{d3}\n"
-    )
-
-
 def _write_file(path: str, content: str) -> None:
     Path(path).write_text(content, encoding="utf-8", newline="")
     log.info("wrote %s (%d bytes)", path, len(content))
+
+
+# Config keys whose flag is not `--` plus the key with dashes.
+_LIST_FLAGS = {"budgets": "--budget", "modes": "--mode"}
 
 
 @dataclass(frozen=True)
@@ -223,209 +230,165 @@ class RunManifest:
     outputs: dict
     duration_s: float
     created: str
+    # Absent from manifests written before inputs were recorded.
+    input_sha256: str | None = None
+    input_bytes: int | None = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        return cls(**json.loads(text))
+        """ValueError on text that is no manifest."""
+        try:
+            man = cls(**json.loads(text))
+        except TypeError as exc:
+            raise ValueError(f"not a manifest: {exc}") from None
+        if not (isinstance(man.config, dict) and isinstance(man.outputs, dict)
+                and all(isinstance(s, str) for s in (man.command, man.input,
+                                                     *man.outputs.values()))):
+            raise ValueError("not a manifest: a field has the wrong type")
+        return man
 
-
-def _write_manifest(primary_output: str, manifest: RunManifest) -> None:
-    _write_file(primary_output + ".manifest.json", manifest.to_json())
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    def argv(self) -> list[str]:
+        """The command's flags that give this run's config, a list as one
+        comma-joined flag. The `budget` key of a manifest written per
+        budget reads as `--budget`: a run with that one budget."""
+        argv = [f"--input={self.input}", f"--format={self.format}"]
+        for key, value in self.config.items():
+            flag = _LIST_FLAGS.get(key, "--" + key.replace("_", "-"))
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv.append(f"{flag}={text}")
+        return argv
 
 
 # ---------------------------------------------------------------------------
-# stats
+# commands: each yields (role, text) pairs in output order from the graph
+# and the config its manifest records. Only roles that `wanted(role)`
+# accepts are rendered; the `stdout` role is always yielded.
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args.input, args.format)
-    t0 = time.perf_counter()
-    g = _load_graph(args.input, fmt)
+def _stats_outputs(g: SignedGraph, config: dict, wanted, source: str):
     if g.edge_count == 0:
         raise ValueError("empty input: graph has no edges")
-    rep = balance_degree(g)
-    for key in ("n", "m", "pos_edges", "neg_edges", "balanced", "unbalanced"):
-        print(f"{key}={getattr(rep, key)}")
-    print(f"d3={_fmt_d3(rep.d3)}")
-    if args.out_csv:
-        _write_file(args.out_csv, _render_stats_csv(rep))
-        _write_manifest(args.out_csv, RunManifest(
-            command="stats",
-            version=__version__,
-            input=args.input,
-            format=fmt,
-            config={},
-            outputs={"csv": args.out_csv},
-            duration_s=round(time.perf_counter() - t0, 3),
-            created=_now(),
-        ))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# attack
-
-
-def _budget_path(path: str, token: str, multi: bool) -> str:
-    if not multi:
-        return path
-    p = Path(path)
-    return str(p.with_name(f"{p.stem}.b{token}{p.suffix}"))
-
-
-def cmd_attack(args: argparse.Namespace) -> int:
-    if not args.out_graph and not args.out_trace:
-        raise ValueError("attack needs --out-graph and/or --out-trace")
-    fmt = _resolve_format(args.input, args.format)
-    g = _load_graph(args.input, fmt)
-    budgets: list[tuple[str, Fraction]] = args.budget
-    multi = len(budgets) > 1
-    cfg = AttackConfig(
-        budget_fraction=max(f for _, f in budgets), mode=CLI_MODES[args.mode],
-        batch_size=args.batch_size, seed=args.seed,
+    record = balance_degree(g).as_record()  # d3 alone may be None
+    yield "stdout", "".join(
+        f"{key}={'undefined' if value is None else value}\n" for key, value in record.items()
     )
-    sweep = run_attack_budgets(g, cfg, [f for _, f in budgets])
-    t0 = time.perf_counter()
-    for (token, _), (_, poisoned, trace) in zip(budgets, sweep):
-        outputs: dict[str, str] = {}
-        if args.out_graph:
-            path = _budget_path(args.out_graph, token, multi)
-            _write_file(path, _render(write_edge_list, poisoned))
-            outputs["graph"] = path
-        if args.out_trace:
-            path = _budget_path(args.out_trace, token, multi)
-            _write_file(path, _render(AttackTrace.write_csv, trace))
-            outputs["trace"] = path
+    if wanted("csv"):
+        row = ",".join("" if value is None else str(value) for value in record.values())
+        yield "csv", f"# schema={STATS_CSV_SCHEMA}\n{','.join(record)}\n{row}\n"
+
+
+def _attack_outputs(g: SignedGraph, config: dict, wanted, source: str):
+    """Each budget's roles are `graph` and `trace`, tagged `.b<token>` when
+    the run has several budgets."""
+    tokens = config["budgets"]
+    cfg = AttackConfig(
+        budget_fraction=max(tokens, key=as_fraction), mode=CLI_MODES[config["mode"]],
+        batch_size=config["batch_size"], seed=config["seed"],
+    )
+    sweep = run_attack_budgets(g, cfg, tokens)
+    for token in tokens:
+        _, poisoned, trace = next(sweep)
+        tag = f".b{token}" if len(tokens) > 1 else ""
+        if wanted("graph" + tag):
+            yield "graph" + tag, _render(write_edge_list, poisoned)
         del poisoned  # before the sweep builds the next budget's graph
-        _write_manifest(next(iter(outputs.values())), RunManifest(
-            command="attack",
+        if wanted("trace" + tag):
+            yield "trace" + tag, _render(AttackTrace.write_csv, trace)
+        d3 = "undefined" if trace.final_d3 is None else repr(float(trace.final_d3))
+        yield "stdout", (
+            f"budget={token} edges={trace.budget} flips={len(trace.records)} "
+            f"status={trace.status} d3={d3}\n"
+        )
+
+
+def _eval_outputs(g: SignedGraph, config: dict, wanted, source: str):
+    rows = attack_eval_pipeline(
+        g,
+        config["budgets"],
+        [CLI_MODES[m] for m in config["modes"]],
+        split_seed=config["split_seed"],
+        train_fraction=config["train_frac"],
+        attack_seed=config["seed"],
+        batch_size=config["batch_size"],
+        dataset=Path(source).name.partition(".")[0] or "graph",
+    )
+    yield "csv" if wanted("csv") else "stdout", _render(write_pipeline_csv, rows)
+
+
+def _output_path(args: argparse.Namespace, role: str) -> str | None:
+    """The path of a file role: its `--out-<kind>` flag, with a budget tag
+    put in front of the suffix. None for `stdout` and for unset flags."""
+    kind, _, token = role.partition(".b")
+    path = getattr(args, "out_" + kind, None)
+    if path and token:
+        p = Path(path)
+        path = str(p.with_name(f"{p.stem}.b{token}{p.suffix}"))
+    return path
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """Run a command from its flags: write each file role, print `stdout`,
+    and record one manifest named after the first output's flag."""
+    if args.command == "attack" and not (args.out_graph or args.out_trace):
+        raise ValueError("attack needs --out-graph and/or --out-trace")
+    t0 = time.perf_counter()
+    fmt = _resolve_format(args.input, args.format)
+    config = {key: getattr(args, key) for key in args.config_keys}
+    g = _load_graph(args.input, fmt)
+    outputs: dict[str, str] = {}
+    wanted = lambda role: _output_path(args, role) is not None
+    for role, text in args.outputs(g, config, wanted, args.input):
+        path = _output_path(args, role)
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            _write_file(path, text)
+            outputs[role] = path
+    if outputs:
+        first = _output_path(args, next(iter(outputs)).partition(".b")[0])
+        sha256, size = _digest(args.input)
+        _write_file(first + ".manifest.json", RunManifest(
+            command=args.command,
             version=__version__,
             input=args.input,
             format=fmt,
-            config={
-                "mode": args.mode,
-                "budget": token,
-                "batch_size": args.batch_size,
-                "seed": args.seed,
-            },
+            config=config,
             outputs=outputs,
             duration_s=round(time.perf_counter() - t0, 3),
-            created=_now(),
-        ))
-        print(
-            f"budget={token} edges={trace.budget} flips={len(trace.records)} "
-            f"status={trace.status} d3={_fmt_d3(trace.final_d3)}"
-        )
-        t0 = time.perf_counter()
+            created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            input_sha256=sha256,
+            input_bytes=size,
+        ).to_json())
     return 0
-
-
-# ---------------------------------------------------------------------------
-# eval
-
-
-def _eval_rows(
-    g: SignedGraph,
-    dataset: str,
-    budgets: list[tuple[str, Fraction]],
-    cli_modes: list[str],
-    seed: int,
-    split_seed: int,
-    train_frac: Fraction,
-    batch_size: int,
-):
-    if all(f != 0 for _, f in budgets):
-        budgets = [("0", Fraction(0))] + budgets
-    return budgets, attack_eval_pipeline(
-        g,
-        [f for _, f in budgets],
-        [CLI_MODES[m] for m in cli_modes],
-        split_seed=split_seed,
-        train_fraction=train_frac,
-        attack_seed=seed,
-        batch_size=batch_size,
-        dataset=dataset,
-    )
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    fmt = _resolve_format(args.input, args.format)
-    g = _load_graph(args.input, fmt)
-    dataset = _dataset_name(args.input)
-    t0 = time.perf_counter()
-    budgets, rows = _eval_rows(
-        g, dataset, args.budget, args.mode, args.seed, args.split_seed,
-        args.train_frac, args.batch_size,
-    )
-    content = _render(write_pipeline_csv, rows)
-    if args.out_csv:
-        _write_file(args.out_csv, content)
-        _write_manifest(args.out_csv, RunManifest(
-            command="eval",
-            version=__version__,
-            input=args.input,
-            format=fmt,
-            config={
-                "modes": args.mode,
-                "budgets": [t for t, _ in budgets],
-                "seed": args.seed,
-                "split_seed": args.split_seed,
-                "train_frac": str(args.train_frac),
-                "batch_size": args.batch_size,
-            },
-            outputs={"csv": args.out_csv},
-            duration_s=round(time.perf_counter() - t0, 3),
-            created=_now(),
-        ))
-    else:
-        sys.stdout.write(content)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# rerun
 
 
 def cmd_rerun(args: argparse.Namespace) -> int:
-    man = RunManifest.from_json(Path(args.manifest).read_text(encoding="utf-8"))
+    """Feed a manifest's config through the flags' checks to the command
+    that wrote it, and byte-compare each output the manifest lists."""
+    try:
+        man = RunManifest.from_json(Path(args.manifest).read_text(encoding="utf-8"))
+        command = build_parser(_ManifestParser).commands.get(man.command)
+        if command is None:
+            raise ValueError(f"unknown command {man.command!r}")
+        run = command.parse_args(man.argv())
+    except ValueError as exc:
+        raise ValueError(f"{args.manifest}: {exc}") from None
+    if man.input_sha256 is not None and _digest(man.input) != (man.input_sha256, man.input_bytes):
+        print(f"{man.input} INPUT CHANGED")
+        return 1
     g = _load_graph(man.input, man.format)
-    contents: dict[str, str] = {}
-    if man.command == "stats":
-        if g.edge_count == 0:
-            raise ValueError("empty input: graph has no edges")
-        contents["csv"] = _render_stats_csv(balance_degree(g))
-    elif man.command == "attack":
-        cfg = AttackConfig(
-            budget_fraction=man.config["budget"], mode=CLI_MODES[man.config["mode"]],
-            batch_size=man.config["batch_size"], seed=man.config["seed"],
-        )
-        ((_, poisoned, trace),) = run_attack_budgets(g, cfg, [cfg.budget_fraction])
-        contents["graph"] = _render(write_edge_list, poisoned)
-        contents["trace"] = _render(AttackTrace.write_csv, trace)
-    elif man.command == "eval":
-        budgets = [(t, Fraction(t)) for t in man.config["budgets"]]
-        _, rows = _eval_rows(
-            g, _dataset_name(man.input), budgets, man.config["modes"],
-            man.config["seed"], man.config["split_seed"],
-            Fraction(man.config["train_frac"]), man.config["batch_size"],
-        )
-        contents["csv"] = _render(write_pipeline_csv, rows)
-    else:
-        raise ValueError(f"manifest has unknown command {man.command!r}")
-
+    left = dict(man.outputs)
     differs = 0
-    for role, path in man.outputs.items():
-        new = contents[role]
-        p = Path(path)
-        old = p.read_text(encoding="utf-8") if p.exists() else None
-        p.write_text(new, encoding="utf-8", newline="")
+    config = {key: getattr(run, key) for key in run.config_keys}
+    for role, new in run.outputs(g, config, man.outputs.__contains__, man.input):
+        path = left.pop(role, None)
+        if path is None:
+            continue  # stdout
+        old = Path(path).read_text(encoding="utf-8") if Path(path).exists() else None
+        _write_file(path, new)
         if old is None:
             verdict = "created"
         elif old == new:
@@ -434,6 +397,8 @@ def cmd_rerun(args: argparse.Namespace) -> int:
             verdict = "DIFFERS"
             differs += 1
         print(f"{path} {verdict}")
+    if left:
+        raise ValueError(f"{args.manifest}: the command has no output {', '.join(left)}")
     return 1 if differs else 0
 
 
@@ -461,7 +426,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -15,9 +15,9 @@ _DECIMAL_EXPONENT = re.compile(
     r"[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE][-+]?(\d+(?:_\d+)*)"
 )
 # Fraction builds 10**exp exactly, so without a bound a few bytes of rating
-# text could ask for any amount of memory and time. This is CPython's
-# default int-string digit limit (sys.get_int_max_str_digits, which 3.10.6
-# and older lack and which can be switched off).
+# or fraction text could ask for any amount of memory and time. This is
+# CPython's default int-string digit limit (sys.get_int_max_str_digits,
+# which 3.10.6 and older lack and which can be switched off).
 MAX_RATING_EXPONENT = 4300
 
 
@@ -196,26 +196,31 @@ class LoadStats:
     neg_edges: int = 0
 
 
-def _parse_fraction(text: str) -> Fraction:
-    """Exact value of a rating field that is no int. ValueError on text
-    that is no number; ParseError on a zero denominator, nan or an infinity,
-    none of which may sum into a total and land on a sign, and on a decimal
-    exponent beyond +-MAX_RATING_EXPONENT."""
+def parse_fraction(text: str, what: str) -> Fraction:
+    """Exact value of number text, `what` naming it in errors. ValueError
+    on text that is no number; ParseError on a zero denominator, nan or an
+    infinity, none of which may sum into a total and land on a sign, on a
+    decimal exponent beyond +-MAX_RATING_EXPONENT, and on more digits than
+    CPython converts to an int."""
     text = text.strip()
     exp = _DECIMAL_EXPONENT.fullmatch(text)
     if exp:
         digits = exp.group(1).replace("_", "")  # more digits than the bound: over it
         if len(digits) > MAX_RATING_EXPONENT or int(digits) > MAX_RATING_EXPONENT:
             raise ParseError(
-                f"exponent of rating {text!r} exceeds {MAX_RATING_EXPONENT} in magnitude"
+                f"exponent of {what} {text!r} exceeds {MAX_RATING_EXPONENT} in magnitude"
             )
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in rating {text!r}") from None
+        raise ParseError(f"zero denominator in {what} {text!r}") from None
     except ValueError:
-        float(text)  # ValueError on garbage; what float() alone accepts is non-finite
-        raise ParseError(f"non-finite rating {text!r}") from None
+        float(text)  # ValueError on garbage
+        if text.lstrip("+-").lower() in ("nan", "inf", "infinity"):
+            raise ParseError(f"non-finite {what} {text!r}") from None
+        # float() reads the rest, rounding to inf or 0.0; Fraction stops
+        # at the int-string digit limit.
+        raise ParseError(f"{what} {text[:20]!r}... has too many digits") from None
 
 
 def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
@@ -232,8 +237,9 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
     in `node_labels`. Nodes seen only in dropped rows are omitted.
 
     Returns the graph and the load statistics. Raises ParseError with a line
-    number for malformed rows, for nan, infinite or zero-denominator ratings
-    and exponents past MAX_RATING_EXPONENT, or on input with no data rows.
+    number for malformed rows, for nan, infinite or zero-denominator ratings,
+    exponents past MAX_RATING_EXPONENT and ratings with too many digits, or
+    on input with no data rows.
     """
     sums: dict[tuple[str, str], int | Fraction] = {}
     rows = self_loops = zero_ratings = merged = 0
@@ -245,7 +251,7 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
             if not any(f.strip() for f in row):
                 continue  # blank row
             try:
-                rating = _parse_fraction(row[2])
+                rating = parse_fraction(row[2], "rating")
             except ParseError as exc:
                 raise ParseError(str(exc), lineno) from None
             except (IndexError, ValueError):

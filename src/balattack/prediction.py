@@ -37,20 +37,20 @@ class EdgeSplit:
 
 
 def split_edges(
-    g: SignedGraph, fraction: Fraction | float = Fraction(4, 5), seed: int = 0
+    g: SignedGraph, fraction: Fraction | float | str = Fraction(4, 5), seed: int = 0
 ) -> EdgeSplit:
     """Randomly partition edges into round(fraction*m) train and the rest
     test. Deterministic per seed. Raises ValueError when either side would
     be empty.
     """
-    fraction = as_fraction(fraction)
+    given, fraction = fraction, as_fraction(fraction, "train fraction")
     if not 0 < fraction < 1:
-        raise ValueError(f"train fraction must be in (0, 1), got {fraction}")
+        raise ValueError(f"train fraction must be in (0, 1), got {given}")
     edges = list(g.edges())
     n_train = round(fraction * len(edges))
     if n_train == 0 or n_train == len(edges):
         raise ValueError(
-            f"cannot split {len(edges)} edges at fraction {fraction}: "
+            f"cannot split {len(edges)} edges at train fraction {given}: "
             "one side would be empty"
         )
     rng = random.Random(seed)
@@ -169,7 +169,7 @@ def attack_eval_pipeline(
     modes: Sequence[str],
     *,
     split_seed: int = 0,
-    train_fraction: Fraction | float = Fraction(4, 5),
+    train_fraction: Fraction | float | str = Fraction(4, 5),
     attack_seed: int = 0,
     batch_size: int = 10,
     dataset: str = "graph",
@@ -183,10 +183,10 @@ def attack_eval_pipeline(
     its attack trace's exact final d3, so the clean graph gets a triangle
     census of its own only when no attack runs.
     """
-    budgets = [as_fraction(b) for b in budgets]
-    for b in budgets:
+    given, budgets = budgets, [as_fraction(b, "budget fraction") for b in budgets]
+    for text, b in zip(given, budgets):
         if not 0 <= b <= 1:
-            raise ValueError(f"budget fraction must be in [0, 1], got {b}")
+            raise ValueError(f"budget fraction must be in [0, 1], got {text}")
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")

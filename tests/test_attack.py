@@ -71,7 +71,7 @@ class TestConfig:
     def test_float_budget_means_its_decimal_value(self):
         assert AttackConfig(budget_fraction=0.05).budget_fraction == Fraction(1, 20)
 
-    @pytest.mark.parametrize("frac", [0, -0.1, 1.0001, "2"])
+    @pytest.mark.parametrize("frac", [0, -0.1, 1.0001, "2", "2e4300", "1e100000"])
     def test_budget_range_enforced(self, frac):
         with pytest.raises(ValueError, match="budget_fraction"):
             AttackConfig(budget_fraction=frac)

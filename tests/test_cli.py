@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import gc
 import gzip
+import hashlib
 import io
 import json
 import os
@@ -10,12 +11,15 @@ import random
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from balattack import SignedGraph, attack, cli, load_edge_list, write_edge_list
 from balattack.cli import main
 from util import clustered_signed_graph
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 K3_TEXT = "# nodes=3\n0 1 +1\n0 2 +1\n1 2 +1\n"
 
@@ -183,16 +187,43 @@ class TestAttack:
                   "--budget", "0.5", "--out-trace", "t.csv"])
         assert exc.value.code == 2
 
-    def test_manifest_written_per_budget(self, clustered_file, tmp_path):
+    def test_one_manifest_lists_every_budget(self, clustered_file, tmp_path):
         path, _ = clustered_file
         out = tmp_path / "g.edges"
         assert main([
             "attack", "--input", str(path), "--budget", "0.1,0.2",
-            "--out-graph", str(out),
+            "--out-graph", str(out), "--out-trace", str(tmp_path / "t.csv"),
         ]) == 0
-        man = json.loads((tmp_path / "g.b0.1.edges.manifest.json").read_text())
+        man = json.loads((tmp_path / "g.edges.manifest.json").read_text())
         assert man["command"] == "attack"
-        assert man["config"]["budget"] == "0.1"
+        assert man["config"]["budgets"] == ["0.1", "0.2"]
+        assert man["outputs"] == {
+            f"{kind}.b{t}": str(tmp_path / f"{name}.b{t}{suffix}")
+            for kind, name, suffix in (("graph", "g", ".edges"), ("trace", "t", ".csv"))
+            for t in ("0.1", "0.2")
+        }
+        assert [p.name for p in tmp_path.glob("*.manifest.json")] == ["g.edges.manifest.json"]
+        raw = path.read_bytes()
+        assert (man["input_bytes"], man["input_sha256"]) == (
+            len(raw), hashlib.sha256(raw).hexdigest())
+
+    def test_only_the_asked_outputs_are_rendered(self, clustered_file, tmp_path, monkeypatch):
+        path, _ = clustered_file
+        rendered = []
+        real = attack.AttackTrace.write_csv
+        monkeypatch.setattr(attack.AttackTrace, "write_csv",
+                            lambda *a: rendered.append(a) or real(*a))
+        assert main(["attack", "--input", str(path), "--budget", "0.1,0.2",
+                     "--out-graph", str(tmp_path / "g.edges")]) == 0
+        assert rendered == []
+
+    def test_budget_exponent_beyond_bound_is_usage_error(self, k3_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--input", str(k3_file), "--budget", "1e100000",
+                  "--out-trace", "t.csv"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "--budget" in err and "exponent of budget '1e100000' exceeds 4300" in err
 
 
 class TestEval:
@@ -231,6 +262,14 @@ class TestEval:
         assert main(["rerun", "--manifest", str(manifest_path)]) == 0
         assert "reproduced" in capsys.readouterr().out
 
+
+    def test_train_fraction_too_small_to_split_names_it(self, clustered_file, capsys):
+        path, g = clustered_file
+        assert main(["eval", "--input", str(path), "--budget", "0.1",
+                     "--train-frac", "1e-4300"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot split {g.edge_count} edges at train fraction 1e-4300: "
+                       "one side would be empty"]
 
     def test_dataset_name_with_a_comma_is_quoted(self, clustered_file, tmp_path, capsys):
         _, g = clustered_file
@@ -313,6 +352,101 @@ class TestRerun:
     def test_missing_manifest(self, tmp_path, capsys):
         assert main(["rerun", "--manifest", str(tmp_path / "no.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_manifests_of_an_earlier_version_reproduce(self, tmp_path, monkeypatch, capsys):
+        work = tmp_path / "manifests"
+        shutil.copytree(FIXTURES / "manifests", work)
+        monkeypatch.chdir(work)
+        manifests = sorted(p.name for p in work.glob("*.manifest.json"))
+        assert len(manifests) == 14
+        for name in manifests:
+            assert main(["rerun", "--manifest", name]) == 0, name
+            lines = capsys.readouterr().out.splitlines()
+            assert lines and all(line.endswith(" reproduced") for line in lines), (name, lines)
+            assert len(lines) == len(json.loads((work / name).read_text())["outputs"])
+
+    def _multi_budget_run(self, clustered_file, tmp_path):
+        path, _ = clustered_file
+        assert main([
+            "attack", "--input", str(path), "--mode", "balance-batched", "--batch-size", "3",
+            "--budget", "0.05,0.1,0.2", "--out-graph", str(tmp_path / "g.edges"),
+            "--out-trace", str(tmp_path / "t.csv"),
+        ]) == 0
+        return str(tmp_path / "g.edges.manifest.json")
+
+    def test_multi_budget_manifest_reruns_one_shared_run(
+        self, clustered_file, tmp_path, monkeypatch, capsys
+    ):
+        manifest = self._multi_budget_run(clustered_file, tmp_path)
+        runs = []
+        real = attack.run_balance_attack
+        monkeypatch.setattr(attack, "run_balance_attack", lambda *a: runs.append(a) or real(*a))
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", manifest]) == 0
+        assert len(runs) == 1
+        assert capsys.readouterr().out.count(" reproduced\n") == 6
+
+    def test_tampered_budget_differs_alone(self, clustered_file, tmp_path, capsys):
+        manifest = self._multi_budget_run(clustered_file, tmp_path)
+        tampered = tmp_path / "t.b0.1.csv"
+        tampered.write_text(tampered.read_text() + "tampered\n")
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", manifest]) == 1
+        verdicts = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert len(verdicts) == 6
+        assert {p for p, v in verdicts.items() if v != "reproduced"} == {str(tampered)}
+        assert verdicts[str(tampered)] == "DIFFERS"
+
+    def test_changed_input_is_reported_before_any_output_is_written(
+        self, clustered_file, tmp_path, capsys
+    ):
+        path, _ = clustered_file
+        out = tmp_path / "x.edges"
+        assert main(["attack", "--input", str(path), "--budget", "0.1",
+                     "--out-graph", str(out)]) == 0
+        path.write_text(path.read_text().replace("+1", "-1", 1))
+        out.write_text("tampered\n")
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(out) + ".manifest.json"]) == 1
+        assert capsys.readouterr().out == f"{path} INPUT CHANGED\n"
+        assert out.read_text() == "tampered\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda man: {"command": "stats"}, "missing 7 required positional arguments"),
+        (lambda man: [1, 2], "must be a mapping"),
+        (lambda man: {**man, "extra": 1}, "unexpected keyword argument 'extra'"),
+        (lambda man: {**man, "config": [1]}, "a field has the wrong type"),
+        (lambda man: {**man, "command": ["attack"]}, "a field has the wrong type"),
+        (lambda man: {**man, "command": "-h"}, "unknown command '-h'"),
+        (lambda man: {**man, "command": "rerun"}, "required: --manifest"),
+        (lambda man: {**man, "config": {**man["config"], "mode": "chaos"}},
+         "argument --mode: invalid choice: 'chaos'"),
+        # A per-budget manifest's key, as older versions wrote it.
+        (lambda man: {**man, "config": {"mode": "balance", "budget": "1e100000",
+                                        "batch_size": 10, "seed": 0}},
+         "argument --budget: exponent of budget '1e100000' exceeds 4300"),
+        (lambda man: {**man, "config": {**man["config"], "seed": 1.5}},
+         "argument --seed: invalid int value: '1.5'"),
+        (lambda man: {**man, "config": {**man["config"], "depth": 3}},
+         "unrecognized arguments: --depth=3"),
+        (lambda man: {**man, "outputs": {"table": "t.csv"}}, "the command has no output table"),
+    ], ids=["missing-fields", "list", "extra-field", "config-list", "command-list",
+            "help-command", "rerun-command", "unknown-mode",
+            "budget-exponent", "float-seed", "extra-config-key", "unknown-output"])
+    def test_malformed_manifest_is_one_error_line(
+        self, clustered_file, tmp_path, capsys, edit, message
+    ):
+        path, _ = clustered_file
+        out = tmp_path / "x.edges"
+        assert main(["attack", "--input", str(path), "--budget", "0.1",
+                     "--out-graph", str(out)]) == 0
+        manifest = tmp_path / "x.edges.manifest.json"
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(manifest)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {manifest}: "), err
+        assert message in err[0]
 
 
 def test_console_script_and_log_env(k3_file):

@@ -193,6 +193,15 @@ class TestLoadRatingCsv:
             load_rating_csv(io.StringIO(text))
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text, line", [
+        ("a,b," + "1" * 5000 + "\n", 1),
+        ("a,b,1\nc,d,0." + "0" * 5000 + "1\n", 2),
+    ], ids=["5000-ones", "5000-zeros-then-1"])
+    def test_too_many_digits_rejected_with_line_number(self, text, line):
+        with pytest.raises(ParseError, match="has too many digits") as exc:
+            load_rating_csv(io.StringIO(text))
+        assert exc.value.line == line
+
     def test_exponent_at_bound_accepted(self):
         text = "a,b,1e4300\nb,c,-1e-4300\nc,d,1E" + "0" * 4296 + "4300\n"
         g, stats = load_rating_csv(io.StringIO(text))

@@ -67,6 +67,8 @@ class TestSplitEdges:
         g = SignedGraph(2, [(0, 1, 1)])
         with pytest.raises(ValueError, match="one side would be empty"):
             split_edges(g, 0.8, seed=0)
+        with pytest.raises(ValueError, match="at train fraction 1e-4300: one side"):
+            split_edges(SignedGraph(3, [(0, 1, 1), (1, 2, 1)]), "1e-4300")
 
     @pytest.mark.parametrize("frac", [0, 1, 1.2, -0.5])
     def test_fraction_range(self, frac):
@@ -298,6 +300,8 @@ class TestPipeline:
         g = self._graph()
         with pytest.raises(ValueError, match="budget"):
             attack_eval_pipeline(g, [1.5], [MODE_RANDOM])
+        with pytest.raises(ValueError, match=r"\[0, 1\], got 2e4300"):
+            attack_eval_pipeline(g, ["2e4300"], [MODE_RANDOM])
         with pytest.raises(ValueError, match="mode"):
             attack_eval_pipeline(g, [0.1], ["bogus"])
 
