@@ -14,7 +14,6 @@ from .balance import (
     TwoPathTable,
     balance_degree,
     count_signed_triangles,
-    two_path_sum,
 )
 from .attack import (
     MODE_BALANCE_BATCHED,
@@ -27,7 +26,6 @@ from .attack import (
     AttackTrace,
     FlipRecord,
     PerturbationReport,
-    run_attack,
     run_attack_budgets,
     run_balance_attack,
     run_random_attack,
@@ -41,7 +39,6 @@ from .prediction import (
     attack_eval_pipeline,
     evaluate,
     split_edges,
-    triad_vote_predict,
     write_pipeline_csv,
 )
 
@@ -72,14 +69,11 @@ __all__ = [
     "evaluate",
     "load_edge_list",
     "load_rating_csv",
-    "run_attack",
     "run_attack_budgets",
     "run_balance_attack",
     "run_random_attack",
     "select_candidates",
     "split_edges",
-    "triad_vote_predict",
-    "two_path_sum",
     "verify_perturbation",
     "write_edge_list",
     "write_pipeline_csv",

@@ -49,16 +49,14 @@ class AttackConfig:
     budget is round(fraction * m), clamped to [1, m]. `seed` drives the
     random mode and, when `shuffle_ties` is set, randomized tie-breaking
     among equally ranked candidates (off by default: ties break to the
-    lexicographically smallest pair). `trace_every` controls how often the
-    running balance degree is stored on trace records; the final record
-    always carries it.
+    lexicographically smallest pair). Every trace record carries the
+    running balance degree, which is None only on a triangle-free graph.
     """
 
     budget_fraction: Fraction | float | str
     mode: str = MODE_BALANCE_SEQUENTIAL
     batch_size: int = 10
     seed: int = 0
-    trace_every: int = 1
     shuffle_ties: bool = False
 
     def __post_init__(self):
@@ -70,8 +68,6 @@ class AttackConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
 
     def budget_edges(self, edge_count: int) -> int:
         """Edge budget for a graph with `edge_count` edges."""
@@ -86,7 +82,7 @@ class FlipRecord(NamedTuple):
     `p_uv` is the two-path sum the flip was selected on (in batched mode
     that is the epoch-frozen value). `delta_trace` is the realized change
     of tr(A^3), always exact. `d3` is the balance degree after the flip,
-    or None when skipped by trace_every or undefined (triangle-free).
+    None only on a triangle-free graph, where it is undefined.
     """
 
     step: int
@@ -110,22 +106,14 @@ class AttackTrace:
     def flipped_edges(self) -> list[tuple[int, int]]:
         return [(r.u, r.v) for r in self.records]
 
-    def prefix(self, k: int, trace_every: int = 1) -> "AttackTrace":
+    def prefix(self, k: int) -> "AttackTrace":
         """The trace of a standalone greedy run at edge budget k <= budget.
 
         Greedy selection never looks at the budget, so that run makes
-        exactly the first k flips of this one. This trace must carry d3 on
-        every record (trace_every=1); the prefix thins it to `trace_every`
-        as a run at that setting would.
+        exactly the first k flips of this one.
         """
         recs = self.records[:k]
         final = recs[-1].d3 if recs else self.initial_d3
-        if trace_every > 1:
-            last = len(recs)
-            recs = [
-                r if r.step % trace_every == 0 or r.step == last else r._replace(d3=None)
-                for r in recs
-            ]
         status = STATUS_BUDGET_EXHAUSTED if len(self.records) >= k else self.status
         return AttackTrace(self.mode, k, status, self.initial_d3, final, recs)
 
@@ -168,11 +156,10 @@ class _TraceState:
     per-step balance degree is exact and O(1).
     """
 
-    def __init__(self, census: tuple[int, int], cfg: AttackConfig):
+    def __init__(self, census: tuple[int, int]):
         b, u = census
         self.trace_abs = 6 * (b + u)
         self.trace_a3 = 6 * (b - u)
-        self.trace_every = cfg.trace_every
         self.records: list[FlipRecord] = []
         self.initial_d3 = self.d3()
 
@@ -184,19 +171,15 @@ class _TraceState:
     def record(self, u: int, v: int, old_sign: int, p_sel: int, delta: int) -> None:
         self.trace_a3 += delta
         step = len(self.records) + 1
-        d3 = self.d3() if step % self.trace_every == 0 else None
-        self.records.append(FlipRecord(step, u, v, old_sign, p_sel, delta, d3))
+        self.records.append(FlipRecord(step, u, v, old_sign, p_sel, delta, self.d3()))
 
     def finish(self, mode: str, budget: int, status: str) -> AttackTrace:
-        final = self.d3()
-        if self.records and self.records[-1].d3 is None and self.trace_abs != 0:
-            self.records[-1] = self.records[-1]._replace(d3=final)
         return AttackTrace(
             mode=mode,
             budget=budget,
             status=status,
             initial_d3=self.initial_d3,
-            final_d3=final,
+            final_d3=self.d3(),
             records=self.records,
         )
 
@@ -316,7 +299,7 @@ def run_balance_attack(
     budget = cfg.budget_edges(g.edge_count)
     poisoned = g.copy()
     table = TwoPathTable.from_graph(poisoned)
-    state = _TraceState(table.census, cfg)
+    state = _TraceState(table.census)
     rng = random.Random(cfg.seed) if cfg.shuffle_ties else None
 
     if state.trace_abs > 0 and state.trace_a3 == -state.trace_abs:
@@ -385,7 +368,7 @@ def run_random_attack(
         start = TwoPathTable.from_graph(g)
     chosen = random.Random(cfg.seed).sample(start.pairs(), budget)
     table = start.copy()
-    state = _TraceState(start.census, cfg)
+    state = _TraceState(start.census)
     for u, v in chosen:
         p = table.get(u, v)
         a = table.apply_flip(u, v)
@@ -469,13 +452,6 @@ def verify_perturbation(
     )
 
 
-def run_attack(g: SignedGraph, cfg: AttackConfig) -> tuple[SignedGraph, AttackTrace]:
-    """Dispatch on cfg.mode."""
-    if cfg.mode == MODE_RANDOM:
-        return run_random_attack(g, cfg)
-    return run_balance_attack(g, cfg)
-
-
 def _unshared_random_budgets(
     start: TwoPathTable, seed: int, full: AttackTrace, ks: Iterable[int]
 ) -> set[int]:
@@ -496,7 +472,7 @@ def run_attack_budgets(
     g: SignedGraph, cfg: AttackConfig, fractions: Sequence[Fraction | float | str]
 ) -> Iterator[tuple[Fraction, SignedGraph, AttackTrace]]:
     """Attack g at each budget fraction in turn; yield (fraction, poisoned,
-    trace), each equal to run_attack(g, replace(cfg, budget_fraction=f)).
+    trace), each equal to a standalone run of cfg's mode at budget f.
 
     Every mode runs once, at the largest budget, and serves each budget
     from a prefix of that run's trace. Greedy selection never looks at the
@@ -508,7 +484,7 @@ def run_attack_budgets(
     cfgs = [replace(cfg, budget_fraction=f) for f in fractions]
     if not cfgs:
         return
-    top = replace(max(cfgs, key=lambda c: c.budget_fraction), trace_every=1)
+    top = max(cfgs, key=lambda c: c.budget_fraction)
     ks = [c.budget_edges(g.edge_count) for c in cfgs]
     standalone: set[int] = set()
     if cfg.mode == MODE_RANDOM:
@@ -531,7 +507,7 @@ def run_attack_budgets(
         if k in standalone:
             yield (c.budget_fraction, *run_random_attack(g, c, start=start))
             continue
-        trace = full.prefix(k, c.trace_every)
+        trace = full.prefix(k)
         yield c.budget_fraction, apply_flips(g, trace.flipped_edges()) if replay else poisoned, trace
 
 

@@ -112,15 +112,6 @@ def balance_degree(g: SignedGraph) -> BalanceReport:
     )
 
 
-def two_path_sum(g: SignedGraph, u: int, v: int) -> int:
-    """(A^2)_uv: signed count of length-2 paths between u and v."""
-    adj_u = g.adjacency(u)
-    adj_v = g.adjacency(v)
-    if len(adj_v) < len(adj_u):
-        adj_u, adj_v = adj_v, adj_u
-    return sum(s * adj_v[w] for w, s in adj_u.items() if w in adj_v)
-
-
 class TwoPathTable:
     """(A^2)_uv cached for every edge {u,v} of a graph, with the graph's
     (balanced, unbalanced) triangle census.

@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
@@ -334,6 +333,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     and record one manifest named after the first output's flag."""
     if args.command == "attack" and not (args.out_graph or args.out_trace):
         raise ValueError("attack needs --out-graph and/or --out-trace")
+    if args.command == "attack" and len(args.budgets) > 1:
+        for token in args.budgets:  # each tags its file names; check before the load
+            if "/" in token:
+                raise ValueError(f"budget {token} cannot tag a file name; write it without '/'")
     t0 = time.perf_counter()
     fmt = _resolve_format(args.input, args.format)
     config = {key: getattr(args, key) for key in args.config_keys}
@@ -358,7 +361,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             config=config,
             outputs=outputs,
             duration_s=round(time.perf_counter() - t0, 3),
-            created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            created=time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
             input_sha256=sha256,
             input_bytes=size,
         ).to_json())

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
 from .attack import MODES, AttackConfig, as_fraction, run_attack_budgets
-from .balance import balance_degree, two_path_sum
+from .balance import balance_degree
 from .graph import SignedGraph
 
 PIPELINE_CSV_SCHEMA = "attack-eval/1"
@@ -28,8 +28,6 @@ class EdgeSplit:
     node_count: int
     train_edges: tuple[tuple[int, int, int], ...]
     test_edges: tuple[tuple[int, int, int], ...]
-    split_seed: int
-    train_fraction: Fraction
 
     def train_graph(self) -> SignedGraph:
         """Training edges over the full node set (test pairs are absent)."""
@@ -59,24 +57,7 @@ def split_edges(
         node_count=g.node_count,
         train_edges=tuple(edges[:n_train]),
         test_edges=tuple(edges[n_train:]),
-        split_seed=seed,
-        train_fraction=fraction,
     )
-
-
-def triad_vote_predict(train: SignedGraph, u: int, v: int) -> int:
-    """Predict the sign of pair (u, v) from the training graph.
-
-    Each common neighbor w votes with A_uw * A_wv; positive total predicts
-    +1, negative -1. A zero total (including no common neighbors at all)
-    falls back to the majority training sign, +1 on an exact tie.
-    """
-    score = two_path_sum(train, u, v)
-    if score > 0:
-        return 1
-    if score < 0:
-        return -1
-    return 1 if train.pos_edge_count >= train.neg_edge_count else -1
 
 
 @dataclass(frozen=True)
@@ -130,8 +111,11 @@ def evaluate(predictions: Sequence[int], labels: Sequence[int]) -> EvalReport:
 def evaluate_on_split(train: SignedGraph, test_edges: Iterable[tuple[int, int, int]]) -> EvalReport:
     """Predict every held-out edge with the triad vote and score it.
 
-    The same vote as `triad_vote_predict`, over adjacency bound once: each
-    pair sums a_uw * a_wv over the common neighbours w of u and v."""
+    Each pair (u, v) sums a_uw * a_wv over the common neighbours w of u and
+    v; a positive total predicts +1, a negative one -1, and a zero total
+    (no common neighbours included) the majority training sign, +1 on an
+    exact tie. `triad_vote_predict` in tests/oracles.py is the per-pair
+    reference vote."""
     adj = [train.adjacency(x) for x in range(train.node_count)]
     n = len(adj)
     majority = 1 if train.pos_edge_count >= train.neg_edge_count else -1

@@ -7,6 +7,13 @@ census lists triangles one by one, greedy selection rescans the whole
 two-path table for every pick, F1 goes through explicit precision/recall,
 the attack-evaluation sweep runs every budget on its own, and the rating
 loader is the plain per-row loop with a validating graph constructor.
+
+Three references stand in for package paths that batch their work:
+`two_path_sum` intersects two adjacencies for one pair, where the two-path
+table fills every edge in one triangle pass; `triad_vote_predict` votes on
+one pair, where `evaluate_on_split` votes on a whole test split; and
+`run_attack` attacks at one budget, where `run_attack_budgets` serves every
+budget from one run.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import numpy as np
 
 from balattack import (
     MODE_BALANCE_SEQUENTIAL,
+    MODE_RANDOM,
     STATUS_ALREADY_MINIMAL,
     STATUS_BUDGET_EXHAUSTED,
     STATUS_NO_CANDIDATES,
@@ -31,9 +39,9 @@ from balattack import (
     SignedGraph,
     TwoPathTable,
     balance_degree,
-    run_attack,
+    run_balance_attack,
+    run_random_attack,
     split_edges,
-    two_path_sum,
 )
 from balattack.attack import _TraceState, as_fraction
 from balattack.prediction import evaluate_on_split
@@ -95,6 +103,15 @@ def trace_a3_of(matrix: np.ndarray) -> int:
 def two_paths_dense(g: SignedGraph) -> np.ndarray:
     a = adjacency_matrix(g)
     return a @ a
+
+
+def two_path_sum(g: SignedGraph, u: int, v: int) -> int:
+    """(A^2)_uv: signed count of length-2 paths between u and v."""
+    adj_u = g.adjacency(u)
+    adj_v = g.adjacency(v)
+    if len(adj_v) < len(adj_u):
+        adj_u, adj_v = adj_v, adj_u
+    return sum(s * adj_v[w] for w, s in adj_u.items() if w in adj_v)
 
 
 def flip_delta(g: SignedGraph, u: int, v: int) -> int:
@@ -239,6 +256,21 @@ def confusion_brute(preds: Sequence[int], labels: Sequence[int]) -> tuple[int, i
     return tp, fp, tn, fn
 
 
+def triad_vote_predict(train: SignedGraph, u: int, v: int) -> int:
+    """Predict the sign of pair (u, v) from the training graph.
+
+    Each common neighbor w votes with A_uw * A_wv; positive total predicts
+    +1, negative -1. A zero total (including no common neighbors at all)
+    falls back to the majority training sign, +1 on an exact tie.
+    """
+    score = two_path_sum(train, u, v)
+    if score > 0:
+        return 1
+    if score < 0:
+        return -1
+    return 1 if train.pos_edge_count >= train.neg_edge_count else -1
+
+
 def _f1_from_prf(tp: int, fp: int, fn: int) -> float:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
@@ -312,7 +344,7 @@ def scan_balance_attack(
     budget = cfg.budget_edges(g.edge_count)
     poisoned = g.copy()
     table = TwoPathTable.from_graph(poisoned)
-    state = _TraceState(table.census, cfg)
+    state = _TraceState(table.census)
     rng = random.Random(cfg.seed) if cfg.shuffle_ties else None
     if state.trace_abs > 0 and state.trace_a3 == -state.trace_abs:
         return poisoned, state.finish(cfg.mode, budget, STATUS_ALREADY_MINIMAL)
@@ -337,6 +369,13 @@ def scan_balance_attack(
                 a = table.apply_flip(u, v)
                 state.record(u, v, a, p_sel, -12 * a * p_now)
     return poisoned, state.finish(cfg.mode, budget, status)
+
+
+def run_attack(g: SignedGraph, cfg: AttackConfig) -> tuple[SignedGraph, AttackTrace]:
+    """One standalone attack at cfg's budget, dispatched on cfg.mode."""
+    if cfg.mode == MODE_RANDOM:
+        return run_random_attack(g, cfg)
+    return run_balance_attack(g, cfg)
 
 
 def reference_attack_eval_pipeline(

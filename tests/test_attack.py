@@ -21,7 +21,6 @@ from balattack import (
     AttackConfig,
     SignedGraph,
     TwoPathTable,
-    run_attack,
     run_attack_budgets,
     run_balance_attack,
     run_random_attack,
@@ -30,7 +29,13 @@ from balattack import (
     write_edge_list,
 )
 from balattack import attack as attack_module
-from oracles import adjacency_matrix, scan_balance_attack, trace_a3_of, traces_cubed
+from oracles import (
+    adjacency_matrix,
+    run_attack,
+    scan_balance_attack,
+    trace_a3_of,
+    traces_cubed,
+)
 from util import clustered_signed_graph, graph_with_triangles, random_signed_graph
 
 K3 = [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
@@ -81,8 +86,6 @@ class TestConfig:
             AttackConfig(budget_fraction=0.1, mode="greedy")
         with pytest.raises(ValueError, match="batch_size"):
             AttackConfig(budget_fraction=0.1, batch_size=0)
-        with pytest.raises(ValueError, match="trace_every"):
-            AttackConfig(budget_fraction=0.1, trace_every=0)
 
 
 class TestSelectCandidates:
@@ -207,15 +210,6 @@ class TestSequential:
         assert t1.records == t2.records
         assert len(t1.records) <= cfg.budget_edges(g.edge_count)
         assert verify_perturbation(g, p1, t1.budget).ok
-
-    def test_trace_every_thins_d3_but_keeps_final(self):
-        rng = random.Random(59)
-        g = clustered_signed_graph(rng, communities=2, size=8)
-        _, trace = run_balance_attack(g, AttackConfig(budget_fraction=0.5, trace_every=3))
-        assert len(trace.records) > 3
-        for rec in trace.records[:-1]:
-            assert (rec.d3 is not None) == (rec.step % 3 == 0)
-        assert trace.records[-1].d3 == trace.final_d3 is not None
 
     def test_shuffle_ties_is_seeded_and_still_greedy(self):
         g = SignedGraph(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)])
@@ -437,7 +431,7 @@ class TestBudgetSweep:
             for mode, batch_size in self.MODES:
                 cfg = AttackConfig(
                     budget_fraction=1, mode=mode, batch_size=batch_size, seed=i,
-                    shuffle_ties=i % 5 == 0, trace_every=3 if i % 6 == 1 else 1,
+                    shuffle_ties=i % 5 == 0,
                 )
                 before = len(random_runs)
                 got = list(run_attack_budgets(g, cfg, fractions))

@@ -10,7 +10,6 @@ from balattack import (
     TwoPathTable,
     balance_degree,
     count_signed_triangles,
-    two_path_sum,
 )
 from oracles import (
     adjacency_matrix,
@@ -21,6 +20,7 @@ from oracles import (
     trace_a3_of,
     traces_cubed,
     triangle_census_triples,
+    two_path_sum,
     two_path_table_per_edge,
     two_paths_dense,
 )

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -206,6 +207,23 @@ class TestAttack:
         raw = path.read_bytes()
         assert (man["input_bytes"], man["input_sha256"]) == (
             len(raw), hashlib.sha256(raw).hexdigest())
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", man["created"])
+
+    def test_ratio_budget_tag_fails_before_the_attack(
+        self, clustered_file, tmp_path, monkeypatch, capsys
+    ):
+        path, _ = clustered_file
+        runs = []
+        real = attack.run_balance_attack
+        monkeypatch.setattr(attack, "run_balance_attack", lambda *a: runs.append(a) or real(*a))
+        common = ["attack", "--input", str(path), "--out-graph", str(tmp_path / "q.edges")]
+        assert main([*common, "--budget", "1/5,2/5"]) == 1
+        assert runs == [] and list(tmp_path.iterdir()) == [path]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: budget 1/5 ")
+        # one budget has no tag, so a ratio token names no file
+        assert main([*common, "--budget", "1/5"]) == 0
+        assert len(runs) == 1 and (tmp_path / "q.edges").exists()
 
     def test_only_the_asked_outputs_are_rendered(self, clustered_file, tmp_path, monkeypatch):
         path, _ = clustered_file

@@ -20,11 +20,10 @@ from balattack import (
     evaluate,
     run_balance_attack,
     split_edges,
-    triad_vote_predict,
     write_pipeline_csv,
 )
 from balattack.prediction import evaluate_on_split
-from oracles import f1_brute, reference_attack_eval_pipeline
+from oracles import f1_brute, reference_attack_eval_pipeline, triad_vote_predict
 from util import clustered_signed_graph, random_signed_graph
 
 

@@ -25,9 +25,8 @@ from balattack import (
     SignedGraph,
     balance_degree,
     load_rating_csv,
-    run_attack,
 )
-from oracles import reference_load_rating_csv
+from oracles import reference_load_rating_csv, run_attack
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
