@@ -47,17 +47,15 @@ class AttackConfig:
 
     budget_fraction is the attacked share of undirected edges; the edge
     budget is round(fraction * m), clamped to [1, m]. `seed` drives the
-    random mode and, when `shuffle_ties` is set, randomized tie-breaking
-    among equally ranked candidates (off by default: ties break to the
-    lexicographically smallest pair). Every trace record carries the
-    running balance degree, which is None only on a triangle-free graph.
+    random mode only; the greedy modes break ties to the lexicographically
+    smallest pair. Every trace record carries the running balance degree,
+    which is None only on a triangle-free graph.
     """
 
     budget_fraction: Fraction | float | str
     mode: str = MODE_BALANCE_SEQUENTIAL
     batch_size: int = 10
     seed: int = 0
-    shuffle_ties: bool = False
 
     def __post_init__(self):
         frac = as_fraction(self.budget_fraction, "budget_fraction")
@@ -229,34 +227,14 @@ class _CandidateHeap:
             self._push(*((w, v) if w < v else (v, w)))
         return a
 
-    def pop_best(self, rng: random.Random | None) -> tuple[int, int, int] | None:
+    def pop_best(self) -> tuple[int, int, int] | None:
         """The candidate with the largest a_uv * p_uv as (u, v, p_uv), or
-        None if there are none.
-
-        Ties go to the smallest (u, v) pair or, given a shuffling rng, to
-        rng.choice(sorted(ties)) over every edge at the top score; the
-        edges not chosen go back on the heap.
-        """
+        None if there are none. Ties go to the smallest (u, v) pair."""
         heap = self.heap
         best = None
         while heap and best is None:
             best = self._pop()
-        if best is None or rng is None:
-            return best
-        u, v, p = best
-        key = -self.adj[u][v] * p
-        # One edge can sit in the heap twice at the same score: dedupe.
-        ties = {(u, v): p}
-        while heap and heap[0][0] == key:
-            entry = self._pop()
-            if entry is not None:
-                ties[entry[0], entry[1]] = entry[2]
-        if len(ties) > 1:
-            u, v = rng.choice(sorted(ties))
-            for x, y in ties:
-                if (x, y) != (u, v):
-                    heapq.heappush(heap, (key, x, y))
-        return u, v, ties[u, v]
+        return best
 
     def pop_batch(self, k: int) -> list[tuple[int, int, int]]:
         """The top k distinct candidates as (u, v, p_uv), best first."""
@@ -267,17 +245,6 @@ class _CandidateHeap:
             if entry is not None:
                 batch.setdefault((entry[0], entry[1]), entry[2])
         return [(u, v, p) for (u, v), p in batch.items()]
-
-
-def _shuffled_batch(
-    adj: list[dict[int, int]], table: TwoPathTable, rng: random.Random, k: int
-) -> list[tuple[int, int, int]]:
-    """Top k candidates as (u, v, p_uv), with equal scores in a seeded
-    random order. The rng draws once per candidate, in (-score, u, v)
-    order, so this case keeps a full sort instead of the heap."""
-    cands = sorted(_scored_candidates(adj, table))
-    cands.sort(key=lambda t: (t[0], rng.random()))
-    return [(u, v, -neg * adj[u][v]) for neg, u, v in cands[:k]]
 
 
 def run_balance_attack(
@@ -300,20 +267,17 @@ def run_balance_attack(
     poisoned = g.copy()
     table = TwoPathTable.from_graph(poisoned)
     state = _TraceState(table.census)
-    rng = random.Random(cfg.seed) if cfg.shuffle_ties else None
 
     if state.trace_abs > 0 and state.trace_a3 == -state.trace_abs:
         # Every triangle is already unbalanced; no flip can help (any
         # candidate would need a balanced triangle behind it).
         return poisoned, state.finish(cfg.mode, budget, STATUS_ALREADY_MINIMAL)
 
-    adj = _adjacency(poisoned)
-    shuffled_batches = cfg.mode == MODE_BALANCE_BATCHED and rng is not None
-    heap = None if shuffled_batches else _CandidateHeap(adj, table)
+    heap = _CandidateHeap(_adjacency(poisoned), table)
     status = STATUS_BUDGET_EXHAUSTED
     if cfg.mode == MODE_BALANCE_SEQUENTIAL:
         while len(state.records) < budget:
-            pick = heap.pop_best(rng)
+            pick = heap.pop_best()
             if pick is None:
                 status = STATUS_NO_CANDIDATES
                 break
@@ -321,13 +285,8 @@ def run_balance_attack(
             a = heap.flip(u, v)
             state.record(u, v, a, p, -12 * a * p)
     else:
-        flip = table.apply_flip if heap is None else heap.flip
         while len(state.records) < budget:
-            take = min(cfg.batch_size, budget - len(state.records))
-            if heap is None:
-                batch = _shuffled_batch(adj, table, rng, take)
-            else:
-                batch = heap.pop_batch(take)
+            batch = heap.pop_batch(min(cfg.batch_size, budget - len(state.records)))
             if not batch:
                 status = STATUS_NO_CANDIDATES
                 break
@@ -335,14 +294,13 @@ def run_balance_attack(
                 # Selection used the frozen epoch ranking; the realized
                 # delta comes from the live table so the trace stays exact.
                 p_now = table.get(u, v)
-                a = flip(u, v)
+                a = heap.flip(u, v)
                 state.record(u, v, a, p_sel, -12 * a * p_now)
-    if heap is not None:
-        log.debug(
-            "%s selection: %d heap pops, %d of them stale (%.1f%%), %d flips",
-            cfg.mode, heap.pops, heap.stale, 100 * heap.stale / max(heap.pops, 1),
-            len(state.records),
-        )
+    log.debug(
+        "%s selection: %d heap pops, %d of them stale (%.1f%%), %d flips",
+        cfg.mode, heap.pops, heap.stale, 100 * heap.stale / max(heap.pops, 1),
+        len(state.records),
+    )
     return poisoned, state.finish(cfg.mode, budget, status)
 
 

@@ -76,6 +76,14 @@ def _eval_budgets(text: str) -> list[str]:
     return tokens if any(as_fraction(t) == 0 for t in tokens) else ["0", *tokens]
 
 
+def _positive_int(token: str) -> int:
+    """A batch size, refused before the input is loaded if below 1."""
+    n = int(token)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _mode_list(text: str) -> list[str]:
     modes = []
     for t in text.split(","):
@@ -125,7 +133,7 @@ def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
                    metavar="FRAC[,FRAC...]",
                    help="edge fraction(s) in (0,1]; several budgets share one "
                    "greedy run in the balance modes")
-    p.add_argument("--batch-size", type=int, default=10, metavar="N",
+    p.add_argument("--batch-size", type=_positive_int, default=10, metavar="N",
                    help="flips per epoch in balance-batched mode (default 10)")
     p.add_argument("--seed", type=int, default=0, metavar="N",
                    help="rng seed for random mode (default 0)")
@@ -142,7 +150,7 @@ def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
                    metavar="FRAC[,FRAC...]",
                    help="edge fraction(s) in [0,1]; a 0 clean-baseline row is "
                    "always included")
-    p.add_argument("--batch-size", type=int, default=10, metavar="N")
+    p.add_argument("--batch-size", type=_positive_int, default=10, metavar="N")
     p.add_argument("--seed", type=int, default=0, metavar="N", help="attack seed")
     p.add_argument("--split-seed", type=int, default=0, metavar="N")
     p.add_argument("--train-frac", type=lambda t: _fraction(t, "train fraction", True, True),

@@ -181,7 +181,7 @@ def attack_eval_pipeline(
     clean_d3 = None if attacked else balance_degree(clean_train).d3
 
     cells: dict[tuple[str, Fraction], tuple[Fraction | None, EvalReport]] = {}
-    for mode in modes:
+    for mode in dict.fromkeys(modes):  # a repeated mode's rows share one sweep
         cfg = AttackConfig(
             budget_fraction=1, mode=mode, batch_size=batch_size, seed=attack_seed
         )

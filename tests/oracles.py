@@ -19,7 +19,6 @@ budget from one run.
 from __future__ import annotations
 
 import csv
-import random
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -288,51 +287,34 @@ def f1_brute(preds: Sequence[int], labels: Sequence[int]) -> tuple[float, float,
     return micro, pos, (pos + neg) / 2
 
 
-def best_candidate_scan(
-    g: SignedGraph, table: TwoPathTable, rng: random.Random | None
-) -> tuple[int, int, int] | None:
+def best_candidate_scan(g: SignedGraph, table: TwoPathTable) -> tuple[int, int, int] | None:
     """Candidate with the largest a_uv * p_uv as (u, v, p_uv), found by
-    scanning every table entry; None if there are none.
-
-    Ties go to the smallest (u, v) pair, or to rng.choice(sorted(ties))
-    when a shuffling rng is supplied.
+    scanning every table entry; None if there are none. Ties go to the
+    smallest (u, v) pair.
     """
     adj = [g.adjacency(x) for x in range(g.node_count)]
     best_score = 0
     best: tuple[int, int] | None = None
-    ties: list[tuple[int, int]] = []
     for (u, v), p in table.items():
         score = adj[u][v] * p
         if score > best_score:
             best_score = score
             best = (u, v)
-            if rng is not None:
-                ties = [best]
-        elif score == best_score and score > 0:
-            if rng is not None:
-                ties.append((u, v))
-            elif (u, v) < best:  # type: ignore[operator]
-                best = (u, v)
+        elif score == best_score and score > 0 and (u, v) < best:  # type: ignore[operator]
+            best = (u, v)
     if best is None:
         return None
-    if rng is not None and len(ties) > 1:
-        best = rng.choice(sorted(ties))
     return best[0], best[1], best_score * adj[best[0]][best[1]]
 
 
-def epoch_ranking_scan(
-    g: SignedGraph, table: TwoPathTable, rng: random.Random | None
-) -> list[tuple[int, int, int]]:
+def epoch_ranking_scan(g: SignedGraph, table: TwoPathTable) -> list[tuple[int, int, int]]:
     """Every candidate as (u, v, p_uv), sorted best-first by |p_uv| with
-    ties by (u, v), or, given a shuffling rng, by one rng.random() draw
-    per candidate inside equal-|p| groups."""
+    ties by (u, v)."""
     adj = [g.adjacency(x) for x in range(g.node_count)]
     cands = [
         (u, v, p) for (u, v), p in table.items() if p != 0 and adj[u][v] * p > 0
     ]
     cands.sort(key=lambda t: (-abs(t[2]), t[0], t[1]))
-    if rng is not None:
-        cands.sort(key=lambda t: (-abs(t[2]), rng.random()))
     return cands
 
 
@@ -345,13 +327,12 @@ def scan_balance_attack(
     poisoned = g.copy()
     table = TwoPathTable.from_graph(poisoned)
     state = _TraceState(table.census)
-    rng = random.Random(cfg.seed) if cfg.shuffle_ties else None
     if state.trace_abs > 0 and state.trace_a3 == -state.trace_abs:
         return poisoned, state.finish(cfg.mode, budget, STATUS_ALREADY_MINIMAL)
     status = STATUS_BUDGET_EXHAUSTED
     if cfg.mode == MODE_BALANCE_SEQUENTIAL:
         while len(state.records) < budget:
-            pick = best_candidate_scan(poisoned, table, rng)
+            pick = best_candidate_scan(poisoned, table)
             if pick is None:
                 status = STATUS_NO_CANDIDATES
                 break
@@ -360,7 +341,7 @@ def scan_balance_attack(
             state.record(u, v, a, p, -12 * a * p)
     else:
         while len(state.records) < budget:
-            ranking = epoch_ranking_scan(poisoned, table, rng)
+            ranking = epoch_ranking_scan(poisoned, table)
             if not ranking:
                 status = STATUS_NO_CANDIDATES
                 break

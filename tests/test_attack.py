@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import io
 import logging
 import random
@@ -211,15 +210,6 @@ class TestSequential:
         assert len(t1.records) <= cfg.budget_edges(g.edge_count)
         assert verify_perturbation(g, p1, t1.budget).ok
 
-    def test_shuffle_ties_is_seeded_and_still_greedy(self):
-        g = SignedGraph(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)])
-        cfg = AttackConfig(budget_fraction=0.5, seed=99, shuffle_ties=True)
-        p1, t1 = run_balance_attack(g, cfg)
-        p2, t2 = run_balance_attack(g, cfg)
-        assert t1.records == t2.records and p1 == p2
-        d3s = [t1.initial_d3] + [r.d3 for r in t1.records]
-        assert all(b < a for a, b in zip(d3s, d3s[1:]))
-
 
 class TestBatched:
     def test_batch_size_one_equals_sequential(self):
@@ -322,10 +312,7 @@ class TestHeapMatchesScan:
             graphs += 1
             budget = 1 if i % 3 == 0 else Fraction(rng.randint(1, g.edge_count), g.edge_count)
             for mode, batch_size in self.GREEDY:
-                cfg = AttackConfig(
-                    budget_fraction=budget, mode=mode, batch_size=batch_size,
-                    seed=i, shuffle_ties=i % 5 == 0,
-                )
+                cfg = AttackConfig(budget_fraction=budget, mode=mode, batch_size=batch_size)
                 got = attack_outputs(g, cfg)
                 assert got == attack_outputs(g, cfg, scan_balance_attack), (i, cfg)
                 statuses[got[0]] += 1
@@ -350,30 +337,6 @@ class TestHeapMatchesScan:
         ]
         assert trace.status == STATUS_BUDGET_EXHAUSTED
         assert attack_outputs(g, cfg) == attack_outputs(g, cfg, scan_balance_attack)
-
-    # sha256 of the shuffled trace CSVs that the full-scan selection wrote;
-    # the heap must consume the tie-breaking rng exactly as it did.
-    @pytest.mark.parametrize("seed,mode,digest", [
-        (1, MODE_BALANCE_SEQUENTIAL,
-         "2d30b914dc76fdf275dfc4a7de8cb97eafbd5fd7575920a08faf029c71db1b94"),
-        (1, MODE_BALANCE_BATCHED,
-         "6e378f835caac656fc360378c1ee624d93cfaa9dabbdf8a02a08f15e6ebee326"),
-        (2, MODE_BALANCE_SEQUENTIAL,
-         "9a54b0dd152f1bd8da2adc04e5ea8a936781fb18bd015981652a13bf3dcdadc6"),
-        (2, MODE_BALANCE_BATCHED,
-         "2b1a3dad28cf26a22113b6aa8e095bd56e1912c1569c68c9eec627d867ce73d1"),
-        (3, MODE_BALANCE_SEQUENTIAL,
-         "64586a9d2eba3e626e73268e0c3f68069adbdc9102e7413ca82e3a0b005aad9b"),
-        (3, MODE_BALANCE_BATCHED,
-         "7dce9a1dcd83eba1c8528c72fb96e6aa2d967fc245a975ad2fbd2de6689c29c6"),
-    ])
-    def test_shuffled_trace_digests_pinned(self, seed, mode, digest):
-        g = clustered_signed_graph(random.Random(seed), communities=3, size=10, noise=0.1)
-        cfg = AttackConfig(
-            budget_fraction="0.5", mode=mode, batch_size=4, seed=seed, shuffle_ties=True
-        )
-        _, trace_csv, _ = attack_outputs(g, cfg)
-        assert hashlib.sha256(trace_csv.encode()).hexdigest() == digest
 
     def test_selection_counters_logged_at_debug(self, caplog):
         g = clustered_signed_graph(random.Random(7), communities=2, size=8, noise=0.2)
@@ -430,8 +393,7 @@ class TestBudgetSweep:
                 fractions.append(fractions[0])
             for mode, batch_size in self.MODES:
                 cfg = AttackConfig(
-                    budget_fraction=1, mode=mode, batch_size=batch_size, seed=i,
-                    shuffle_ties=i % 5 == 0,
+                    budget_fraction=1, mode=mode, batch_size=batch_size, seed=i
                 )
                 before = len(random_runs)
                 got = list(run_attack_budgets(g, cfg, fractions))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import gc
 import gzip
 import hashlib
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from balattack import SignedGraph, attack, cli, load_edge_list, write_edge_list
+from balattack import AttackConfig, SignedGraph, attack, cli, load_edge_list, write_edge_list
 from balattack.cli import main
 from util import clustered_signed_graph
 
@@ -187,6 +188,28 @@ class TestAttack:
             main(["attack", "--input", str(k3_file), "--mode", "chaos",
                   "--budget", "0.5", "--out-trace", "t.csv"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["attack", "--mode", "balance-batched", "--out-trace", "t.csv"],
+        ["eval", "--mode", "balance-batched"],
+    ], ids=["attack", "eval"])
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_bad_batch_size_is_usage_error_before_the_load(
+        self, k3_file, monkeypatch, capsys, command, size
+    ):
+        loads = []
+        monkeypatch.setattr(cli, "_load_graph", lambda *a: loads.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--input", str(k3_file), "--budget", "0.5", "--batch-size", size])
+        assert exc.value.code == 2 and loads == []
+        assert f"argument --batch-size: must be >= 1, got {size}" in capsys.readouterr().err
+
+    def test_every_attack_parameter_is_a_config_key(self):
+        """So each one is set by a flag, recorded in the manifest and
+        replayed by rerun."""
+        keys = cli.build_parser().commands["attack"].get_default("config_keys")
+        fields = {f.name for f in dataclasses.fields(AttackConfig)} - {"budget_fraction"}
+        assert fields == set(keys) - {"budgets"}
 
     def test_one_manifest_lists_every_budget(self, clustered_file, tmp_path):
         path, _ = clustered_file
@@ -445,12 +468,15 @@ class TestRerun:
          "argument --budget: exponent of budget '1e100000' exceeds 4300"),
         (lambda man: {**man, "config": {**man["config"], "seed": 1.5}},
          "argument --seed: invalid int value: '1.5'"),
+        (lambda man: {**man, "config": {**man["config"], "batch_size": 0}},
+         "argument --batch-size: must be >= 1, got 0"),
         (lambda man: {**man, "config": {**man["config"], "depth": 3}},
          "unrecognized arguments: --depth=3"),
         (lambda man: {**man, "outputs": {"table": "t.csv"}}, "the command has no output table"),
     ], ids=["missing-fields", "list", "extra-field", "config-list", "command-list",
             "help-command", "rerun-command", "unknown-mode",
-            "budget-exponent", "float-seed", "extra-config-key", "unknown-output"])
+            "budget-exponent", "float-seed", "zero-batch-size", "extra-config-key",
+            "unknown-output"])
     def test_malformed_manifest_is_one_error_line(
         self, clustered_file, tmp_path, capsys, edit, message
     ):

@@ -22,6 +22,7 @@ from balattack import (
     split_edges,
     write_pipeline_csv,
 )
+from balattack import attack as attack_module
 from balattack.prediction import evaluate_on_split
 from oracles import f1_brute, reference_attack_eval_pipeline, triad_vote_predict
 from util import clustered_signed_graph, random_signed_graph
@@ -294,6 +295,18 @@ class TestPipeline:
             got = attack_eval_pipeline(g, budgets, modes, **kwargs)
             assert got == reference_attack_eval_pipeline(g, budgets, modes, **kwargs), i
         assert graphs >= 100
+
+    def test_repeated_mode_runs_one_sweep(self, monkeypatch):
+        g = self._graph()
+        runs = []
+        real = attack_module.run_random_attack
+        monkeypatch.setattr(attack_module, "run_random_attack",
+                            lambda *a, **kw: runs.append(a) or real(*a, **kw))
+        budgets, modes = [0, Fraction(1, 5)], [MODE_RANDOM, MODE_RANDOM]
+        rows = attack_eval_pipeline(g, budgets, modes, split_seed=1)
+        assert len(runs) == 1
+        assert [r.mode for r in rows] == [MODE_RANDOM] * 4
+        assert rows == reference_attack_eval_pipeline(g, budgets, modes, split_seed=1)
 
     def test_validation(self):
         g = self._graph()

@@ -48,7 +48,6 @@ attack_configs = st.builds(
     mode=st.sampled_from((MODE_BALANCE_SEQUENTIAL, MODE_BALANCE_BATCHED, MODE_RANDOM)),
     batch_size=st.integers(1, 5),
     seed=st.integers(0, 2**16),
-    shuffle_ties=st.booleans(),
 )
 
 
