@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-from .balance import TwoPathTable
+from .balance import TwoPathTable, census_d3
 from .graph import SignedGraph, parse_fraction
 
 MODE_BALANCE_SEQUENTIAL = "balance_sequential"
@@ -47,8 +47,9 @@ class AttackConfig:
 
     budget_fraction is the attacked share of undirected edges; the edge
     budget is round(fraction * m), clamped to [1, m]. `seed` drives the
-    random mode only; the greedy modes break ties to the lexicographically
-    smallest pair. Every trace record carries the running balance degree,
+    random mode only and must be an int >= 0, since `random.Random` drops
+    its sign; the greedy modes break ties to the lexicographically smallest
+    pair. Every trace record carries the running balance degree,
     which is None only on a triangle-free graph.
     """
 
@@ -64,8 +65,10 @@ class AttackConfig:
         object.__setattr__(self, "budget_fraction", frac)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if type(self.batch_size) is not int or self.batch_size < 1:  # refuses True too
+            raise ValueError(f"batch_size must be >= 1 and an int, got {self.batch_size!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be >= 0 and an int, got {self.seed!r}")
 
     def budget_edges(self, edge_count: int) -> int:
         """Edge budget for a graph with `edge_count` edges."""
@@ -79,7 +82,8 @@ class FlipRecord(NamedTuple):
 
     `p_uv` is the two-path sum the flip was selected on (in batched mode
     that is the epoch-frozen value). `delta_trace` is the realized change
-    of tr(A^3), always exact. `d3` is the balance degree after the flip,
+    of tr(A^3), -12 * old_sign * the live p_uv. `d3` is the balance degree
+    after the flip, read from the two-path table's exactly kept census;
     None only on a triangle-free graph, where it is undefined.
     """
 
@@ -94,12 +98,18 @@ class FlipRecord(NamedTuple):
 
 @dataclass
 class AttackTrace:
+    """The flips of one attack run, in order, with the balance degree
+    before the first; every later balance degree is a record's `d3`."""
+
     mode: str
     budget: int
     status: str
     initial_d3: Fraction | None
-    final_d3: Fraction | None
     records: list[FlipRecord] = field(default_factory=list)
+
+    @property
+    def final_d3(self) -> Fraction | None:
+        return self.records[-1].d3 if self.records else self.initial_d3
 
     def flipped_edges(self) -> list[tuple[int, int]]:
         return [(r.u, r.v) for r in self.records]
@@ -110,10 +120,8 @@ class AttackTrace:
         Greedy selection never looks at the budget, so that run makes
         exactly the first k flips of this one.
         """
-        recs = self.records[:k]
-        final = recs[-1].d3 if recs else self.initial_d3
         status = STATUS_BUDGET_EXHAUSTED if len(self.records) >= k else self.status
-        return AttackTrace(self.mode, k, status, self.initial_d3, final, recs)
+        return AttackTrace(self.mode, k, status, self.initial_d3, self.records[:k])
 
     def write_csv(self, stream: IO[str]) -> None:
         stream.write(f"# schema={TRACE_CSV_SCHEMA}\n")
@@ -147,39 +155,17 @@ def select_candidates(g: SignedGraph, table: TwoPathTable) -> set[tuple[int, int
     return {(u, v) for _, u, v in _scored_candidates(_adjacency(g), table)}
 
 
-class _TraceState:
-    """Running trace bookkeeping shared by all attack modes.
-
-    Keeps tr(A^3) incrementally (tr(|A|^3) is flip-invariant) so the
-    per-step balance degree is exact and O(1).
-    """
-
-    def __init__(self, census: tuple[int, int]):
-        b, u = census
-        self.trace_abs = 6 * (b + u)
-        self.trace_a3 = 6 * (b - u)
-        self.records: list[FlipRecord] = []
-        self.initial_d3 = self.d3()
-
-    def d3(self) -> Fraction | None:
-        if self.trace_abs == 0:
-            return None
-        return Fraction(self.trace_a3 + self.trace_abs, 2 * self.trace_abs)
-
-    def record(self, u: int, v: int, old_sign: int, p_sel: int, delta: int) -> None:
-        self.trace_a3 += delta
-        step = len(self.records) + 1
-        self.records.append(FlipRecord(step, u, v, old_sign, p_sel, delta, self.d3()))
-
-    def finish(self, mode: str, budget: int, status: str) -> AttackTrace:
-        return AttackTrace(
-            mode=mode,
-            budget=budget,
-            status=status,
-            initial_d3=self.initial_d3,
-            final_d3=self.d3(),
-            records=self.records,
-        )
+def _flip(
+    table: TwoPathTable, records: list[FlipRecord], u: int, v: int, p_sel: int
+) -> None:
+    """Flip {u,v} through the table and append its record. `p_sel` is the
+    two-path sum the flip was selected on; the realized delta comes from
+    the live table, and the balance degree from the table's census."""
+    p = table.get(u, v)
+    a = table.apply_flip(u, v)
+    records.append(
+        FlipRecord(len(records) + 1, u, v, a, p_sel, -12 * a * p, census_d3(table.census))
+    )
 
 
 class _CandidateHeap:
@@ -217,15 +203,14 @@ class _CandidateHeap:
         self.stale += 1
         return None
 
-    def flip(self, u: int, v: int) -> int:
-        """Flip {u,v} through the table, re-score every entry the flip
-        changed, and return the pre-flip sign."""
-        a = self.table.apply_flip(u, v)
+    def flip(self, records: list[FlipRecord], u: int, v: int, p_sel: int) -> None:
+        """Flip and record {u,v} as `_flip` does, then re-score every entry
+        the flip changed."""
+        _flip(self.table, records, u, v, p_sel)
         self._push(u, v)
         for w in self.adj[u].keys() & self.adj[v].keys():
             self._push(*((w, u) if w < u else (u, w)))
             self._push(*((w, v) if w < v else (v, w)))
-        return a
 
     def pop_best(self) -> tuple[int, int, int] | None:
         """The candidate with the largest a_uv * p_uv as (u, v, p_uv), or
@@ -261,47 +246,42 @@ def run_balance_attack(
     """
     if cfg.mode == MODE_RANDOM:
         raise ValueError("use run_random_attack for random mode")
-    if g.edge_count == 0:
-        raise ValueError("graph has no edges to attack")
     budget = cfg.budget_edges(g.edge_count)
     poisoned = g.copy()
     table = TwoPathTable.from_graph(poisoned)
-    state = _TraceState(table.census)
+    initial_d3 = census_d3(table.census)
+    records: list[FlipRecord] = []
 
-    if state.trace_abs > 0 and state.trace_a3 == -state.trace_abs:
+    if initial_d3 == 0:
         # Every triangle is already unbalanced; no flip can help (any
         # candidate would need a balanced triangle behind it).
-        return poisoned, state.finish(cfg.mode, budget, STATUS_ALREADY_MINIMAL)
+        return poisoned, AttackTrace(cfg.mode, budget, STATUS_ALREADY_MINIMAL, initial_d3)
 
     heap = _CandidateHeap(_adjacency(poisoned), table)
     status = STATUS_BUDGET_EXHAUSTED
     if cfg.mode == MODE_BALANCE_SEQUENTIAL:
-        while len(state.records) < budget:
+        while len(records) < budget:
             pick = heap.pop_best()
             if pick is None:
                 status = STATUS_NO_CANDIDATES
                 break
-            u, v, p = pick
-            a = heap.flip(u, v)
-            state.record(u, v, a, p, -12 * a * p)
+            heap.flip(records, *pick)
     else:
-        while len(state.records) < budget:
-            batch = heap.pop_batch(min(cfg.batch_size, budget - len(state.records)))
+        while len(records) < budget:
+            batch = heap.pop_batch(min(cfg.batch_size, budget - len(records)))
             if not batch:
                 status = STATUS_NO_CANDIDATES
                 break
             for u, v, p_sel in batch:
-                # Selection used the frozen epoch ranking; the realized
-                # delta comes from the live table so the trace stays exact.
-                p_now = table.get(u, v)
-                a = heap.flip(u, v)
-                state.record(u, v, a, p_sel, -12 * a * p_now)
+                # Selection used the frozen epoch ranking; the flip's
+                # delta comes from the live table.
+                heap.flip(records, u, v, p_sel)
     log.debug(
         "%s selection: %d heap pops, %d of them stale (%.1f%%), %d flips",
         cfg.mode, heap.pops, heap.stale, 100 * heap.stale / max(heap.pops, 1),
-        len(state.records),
+        len(records),
     )
-    return poisoned, state.finish(cfg.mode, budget, status)
+    return poisoned, AttackTrace(cfg.mode, budget, status, initial_d3, records)
 
 
 def run_random_attack(
@@ -319,19 +299,16 @@ def run_random_attack(
     """
     if cfg.mode != MODE_RANDOM:
         raise ValueError(f"config mode is {cfg.mode!r}, expected {MODE_RANDOM!r}")
-    if g.edge_count == 0:
-        raise ValueError("graph has no edges to attack")
     budget = cfg.budget_edges(g.edge_count)
     if start is None:
         start = TwoPathTable.from_graph(g)
     chosen = random.Random(cfg.seed).sample(start.pairs(), budget)
     table = start.copy()
-    state = _TraceState(start.census)
+    records: list[FlipRecord] = []
     for u, v in chosen:
-        p = table.get(u, v)
-        a = table.apply_flip(u, v)
-        state.record(u, v, a, p, -12 * a * p)
-    return table.graph, state.finish(cfg.mode, budget, STATUS_BUDGET_EXHAUSTED)
+        _flip(table, records, u, v, table.get(u, v))
+    initial_d3 = census_d3(start.census)
+    return table.graph, AttackTrace(cfg.mode, budget, STATUS_BUDGET_EXHAUSTED, initial_d3, records)
 
 
 @dataclass(frozen=True)

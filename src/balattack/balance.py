@@ -92,6 +92,13 @@ def count_signed_triangles(
     return balanced, triangles - balanced
 
 
+def census_d3(census: tuple[int, int]) -> Fraction | None:
+    """The balance degree b/(b+u) of a (balanced, unbalanced) census as an
+    exact Fraction, or None when there are no triangles."""
+    b, u = census
+    return Fraction(b, b + u) if b + u else None
+
+
 def balance_degree(g: SignedGraph) -> BalanceReport:
     """Full balance summary of g.
 
@@ -100,7 +107,6 @@ def balance_degree(g: SignedGraph) -> BalanceReport:
     triangle contributes 6 to tr(|A|^3) and +-6 to tr(A^3).
     """
     b, u = count_signed_triangles(g)
-    d3 = Fraction(b, b + u) if b + u else None
     return BalanceReport(
         n=g.node_count,
         m=g.edge_count,
@@ -108,7 +114,7 @@ def balance_degree(g: SignedGraph) -> BalanceReport:
         neg_edges=g.neg_edge_count,
         balanced=b,
         unbalanced=u,
-        d3=d3,
+        d3=census_d3((b, u)),
     )
 
 

@@ -76,12 +76,20 @@ def _eval_budgets(text: str) -> list[str]:
     return tokens if any(as_fraction(t) == 0 for t in tokens) else ["0", *tokens]
 
 
-def _positive_int(token: str) -> int:
-    """A batch size, refused before the input is loaded if below 1."""
-    n = int(token)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _int_at_least(lo: int):
+    """An int flag (a batch size or a seed), refused before the input is
+    loaded if below `lo`."""
+
+    def parse(token: str) -> int:
+        try:
+            n = int(token)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+
+    return parse
 
 
 def _mode_list(text: str) -> list[str]:
@@ -133,10 +141,10 @@ def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
                    metavar="FRAC[,FRAC...]",
                    help="edge fraction(s) in (0,1]; several budgets share one "
                    "greedy run in the balance modes")
-    p.add_argument("--batch-size", type=_positive_int, default=10, metavar="N",
+    p.add_argument("--batch-size", type=_int_at_least(1), default=10, metavar="N",
                    help="flips per epoch in balance-batched mode (default 10)")
-    p.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="rng seed for random mode (default 0)")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, metavar="N",
+                   help="rng seed for random mode, >= 0 (default 0)")
     p.add_argument("--out-graph", metavar="PATH", help="write the attacked graph here")
     p.add_argument("--out-trace", metavar="PATH", help="write the per-flip trace CSV here")
 
@@ -150,9 +158,10 @@ def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
                    metavar="FRAC[,FRAC...]",
                    help="edge fraction(s) in [0,1]; a 0 clean-baseline row is "
                    "always included")
-    p.add_argument("--batch-size", type=_positive_int, default=10, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N", help="attack seed")
-    p.add_argument("--split-seed", type=int, default=0, metavar="N")
+    p.add_argument("--batch-size", type=_int_at_least(1), default=10, metavar="N")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, metavar="N",
+                   help="attack seed, >= 0")
+    p.add_argument("--split-seed", type=_int_at_least(0), default=0, metavar="N")
     p.add_argument("--train-frac", type=lambda t: _fraction(t, "train fraction", True, True),
                    default="4/5", metavar="F")
     p.add_argument("--out-csv", metavar="PATH", help="pipeline CSV (default: stdout)")

@@ -38,9 +38,12 @@ def split_edges(
     g: SignedGraph, fraction: Fraction | float | str = Fraction(4, 5), seed: int = 0
 ) -> EdgeSplit:
     """Randomly partition edges into round(fraction*m) train and the rest
-    test. Deterministic per seed. Raises ValueError when either side would
-    be empty.
+    test. Deterministic per seed, which must be an int >= 0 (`random.Random`
+    drops its sign). Raises ValueError for any other seed or when either
+    side would be empty.
     """
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"split seed must be >= 0 and an int, got {seed!r}")
     given, fraction = fraction, as_fraction(fraction, "train fraction")
     if not 0 < fraction < 1:
         raise ValueError(f"train fraction must be in (0, 1), got {given}")

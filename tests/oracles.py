@@ -4,7 +4,8 @@ Everything here is deliberately independent of the package's algorithms:
 triangle classification walks all node triples, traces come from dense
 matrix powers, the two-path table intersects adjacencies per edge and the
 census lists triangles one by one, greedy selection rescans the whole
-two-path table for every pick, F1 goes through explicit precision/recall,
+two-path table for every pick and follows tr(A^3) by per-flip deltas in
+place of the table's census, F1 goes through explicit precision/recall,
 the attack-evaluation sweep runs every budget on its own, and the rating
 loader is the plain per-row loop with a validating graph constructor.
 
@@ -32,6 +33,7 @@ from balattack import (
     STATUS_NO_CANDIDATES,
     AttackConfig,
     AttackTrace,
+    FlipRecord,
     LoadStats,
     ParseError,
     PipelineRow,
@@ -42,7 +44,7 @@ from balattack import (
     run_random_attack,
     split_edges,
 )
-from balattack.attack import _TraceState, as_fraction
+from balattack.attack import as_fraction
 from balattack.prediction import evaluate_on_split
 
 
@@ -322,34 +324,43 @@ def scan_balance_attack(
     g: SignedGraph, cfg: AttackConfig
 ) -> tuple[SignedGraph, AttackTrace]:
     """`run_balance_attack` with a full table scan for every selection:
-    O(m) per flip in sequential mode and a full sort per batched epoch."""
+    O(m) per flip in sequential mode and a full sort per batched epoch.
+    Its balance degrees come from tr(A^3), started from dense matrix
+    powers and moved by each flip's delta, not from the table's census."""
     budget = cfg.budget_edges(g.edge_count)
     poisoned = g.copy()
     table = TwoPathTable.from_graph(poisoned)
-    state = _TraceState(table.census)
-    if state.trace_abs > 0 and state.trace_a3 == -state.trace_abs:
-        return poisoned, state.finish(cfg.mode, budget, STATUS_ALREADY_MINIMAL)
+    trace_a3, trace_abs = traces_cubed(poisoned)
+    initial_d3 = d3_from_traces(trace_a3, trace_abs)
+    records: list[FlipRecord] = []
+
+    def flip(u: int, v: int, p_sel: int) -> None:
+        nonlocal trace_a3
+        delta = flip_delta(poisoned, u, v)
+        a = table.apply_flip(u, v)
+        trace_a3 += delta
+        d3 = d3_from_traces(trace_a3, trace_abs)
+        records.append(FlipRecord(len(records) + 1, u, v, a, p_sel, delta, d3))
+
+    if trace_abs > 0 and trace_a3 == -trace_abs:
+        return poisoned, AttackTrace(cfg.mode, budget, STATUS_ALREADY_MINIMAL, initial_d3)
     status = STATUS_BUDGET_EXHAUSTED
     if cfg.mode == MODE_BALANCE_SEQUENTIAL:
-        while len(state.records) < budget:
+        while len(records) < budget:
             pick = best_candidate_scan(poisoned, table)
             if pick is None:
                 status = STATUS_NO_CANDIDATES
                 break
-            u, v, p = pick
-            a = table.apply_flip(u, v)
-            state.record(u, v, a, p, -12 * a * p)
+            flip(*pick)
     else:
-        while len(state.records) < budget:
+        while len(records) < budget:
             ranking = epoch_ranking_scan(poisoned, table)
             if not ranking:
                 status = STATUS_NO_CANDIDATES
                 break
-            for u, v, p_sel in ranking[: budget - len(state.records)][: cfg.batch_size]:
-                p_now = table.get(u, v)
-                a = table.apply_flip(u, v)
-                state.record(u, v, a, p_sel, -12 * a * p_now)
-    return poisoned, state.finish(cfg.mode, budget, status)
+            for u, v, p_sel in ranking[: budget - len(records)][: cfg.batch_size]:
+                flip(u, v, p_sel)
+    return poisoned, AttackTrace(cfg.mode, budget, status, initial_d3, records)
 
 
 def run_attack(g: SignedGraph, cfg: AttackConfig) -> tuple[SignedGraph, AttackTrace]:

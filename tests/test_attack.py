@@ -83,8 +83,12 @@ class TestConfig:
     def test_other_validation(self):
         with pytest.raises(ValueError, match="mode"):
             AttackConfig(budget_fraction=0.1, mode="greedy")
-        with pytest.raises(ValueError, match="batch_size"):
-            AttackConfig(budget_fraction=0.1, batch_size=0)
+        for size in (0, 2.5, True):
+            with pytest.raises(ValueError, match="batch_size must be >= 1"):
+                AttackConfig(budget_fraction=0.1, batch_size=size)
+        for seed in (-3, 2.5, "7"):
+            with pytest.raises(ValueError, match="seed must be >= 0"):
+                AttackConfig(budget_fraction=0.1, mode=MODE_RANDOM, seed=seed)
 
 
 class TestSelectCandidates:

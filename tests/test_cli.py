@@ -204,6 +204,22 @@ class TestAttack:
         assert exc.value.code == 2 and loads == []
         assert f"argument --batch-size: must be >= 1, got {size}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        (["attack", "--mode", "random", "--out-trace", "t.csv"], "--seed"),
+        (["eval"], "--seed"),
+        (["eval"], "--split-seed"),
+    ], ids=["attack-seed", "eval-seed", "eval-split-seed"])
+    def test_negative_seed_is_usage_error_before_the_load(
+        self, k3_file, monkeypatch, capsys, command, flag
+    ):
+        # random.Random(-3) draws as random.Random(3) does
+        loads = []
+        monkeypatch.setattr(cli, "_load_graph", lambda *a: loads.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--input", str(k3_file), "--budget", "0.5", flag, "-3"])
+        assert exc.value.code == 2 and loads == []
+        assert f"argument {flag}: must be >= 0, got -3" in capsys.readouterr().err
+
     def test_every_attack_parameter_is_a_config_key(self):
         """So each one is set by a flag, recorded in the manifest and
         replayed by rerun."""
@@ -468,6 +484,8 @@ class TestRerun:
          "argument --budget: exponent of budget '1e100000' exceeds 4300"),
         (lambda man: {**man, "config": {**man["config"], "seed": 1.5}},
          "argument --seed: invalid int value: '1.5'"),
+        (lambda man: {**man, "config": {**man["config"], "seed": -3}},
+         "argument --seed: must be >= 0, got -3"),
         (lambda man: {**man, "config": {**man["config"], "batch_size": 0}},
          "argument --batch-size: must be >= 1, got 0"),
         (lambda man: {**man, "config": {**man["config"], "depth": 3}},
@@ -475,8 +493,8 @@ class TestRerun:
         (lambda man: {**man, "outputs": {"table": "t.csv"}}, "the command has no output table"),
     ], ids=["missing-fields", "list", "extra-field", "config-list", "command-list",
             "help-command", "rerun-command", "unknown-mode",
-            "budget-exponent", "float-seed", "zero-batch-size", "extra-config-key",
-            "unknown-output"])
+            "budget-exponent", "float-seed", "negative-seed", "zero-batch-size",
+            "extra-config-key", "unknown-output"])
     def test_malformed_manifest_is_one_error_line(
         self, clustered_file, tmp_path, capsys, edit, message
     ):

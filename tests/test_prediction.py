@@ -70,6 +70,13 @@ class TestSplitEdges:
         with pytest.raises(ValueError, match="at train fraction 1e-4300: one side"):
             split_edges(SignedGraph(3, [(0, 1, 1), (1, 2, 1)]), "1e-4300")
 
+    def test_seed_must_be_a_non_negative_int(self):
+        # random.Random(-3) shuffles as random.Random(3) does
+        g = SignedGraph(11, [(i, i + 1, 1) for i in range(10)])
+        for seed in (-3, 2.5):
+            with pytest.raises(ValueError, match="split seed must be >= 0"):
+                split_edges(g, seed=seed)
+
     @pytest.mark.parametrize("frac", [0, 1, 1.2, -0.5])
     def test_fraction_range(self, frac):
         g = SignedGraph(11, [(i, i + 1, 1) for i in range(10)])
