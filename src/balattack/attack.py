@@ -177,7 +177,7 @@ class _CandidateHeap:
     common neighbour w (the entries `TwoPathTable.apply_flip` patches), so
     `flip` re-scores just those: the lazy greedy of CELF (Leskovec et al.,
     KDD 2007). Heap order is the greedy tie rule, smallest (u, v) at the
-    maximal score.
+    maximal score. Both greedy modes take candidates through `pop_batch`.
     """
 
     def __init__(self, adj: list[dict[int, int]], table: TwoPathTable):
@@ -193,16 +193,6 @@ class _CandidateHeap:
         if score > 0:
             heapq.heappush(self.heap, (-score, u, v))
 
-    def _pop(self) -> tuple[int, int, int] | None:
-        """Pop the top entry as (u, v, p_uv), or None if it is stale."""
-        neg, u, v = heapq.heappop(self.heap)
-        self.pops += 1
-        p = self.table.get(u, v)
-        if self.adj[u][v] * p == -neg:
-            return u, v, p
-        self.stale += 1
-        return None
-
     def flip(self, records: list[FlipRecord], u: int, v: int, p_sel: int) -> None:
         """Flip and record {u,v} as `_flip` does, then re-score every entry
         the flip changed."""
@@ -212,23 +202,20 @@ class _CandidateHeap:
             self._push(*((w, u) if w < u else (u, w)))
             self._push(*((w, v) if w < v else (v, w)))
 
-    def pop_best(self) -> tuple[int, int, int] | None:
-        """The candidate with the largest a_uv * p_uv as (u, v, p_uv), or
-        None if there are none. Ties go to the smallest (u, v) pair."""
-        heap = self.heap
-        best = None
-        while heap and best is None:
-            best = self._pop()
-        return best
-
     def pop_batch(self, k: int) -> list[tuple[int, int, int]]:
-        """The top k distinct candidates as (u, v, p_uv), best first."""
-        heap = self.heap
+        """The top k distinct candidates as (u, v, p_uv), best first; fewer
+        if the heap runs out. Every popped entry counts in `pops`, and one
+        whose key is not its edge's live score is stale and dropped."""
+        heap, adj, table = self.heap, self.adj, self.table
         batch: dict[tuple[int, int], int] = {}
         while heap and len(batch) < k:
-            entry = self._pop()
-            if entry is not None:
-                batch.setdefault((entry[0], entry[1]), entry[2])
+            neg, u, v = heapq.heappop(heap)
+            self.pops += 1
+            p = table.get(u, v)
+            if adj[u][v] * p == -neg:
+                batch.setdefault((u, v), p)
+            else:
+                self.stale += 1
         return [(u, v, p) for (u, v), p in batch.items()]
 
 
@@ -237,12 +224,13 @@ def run_balance_attack(
 ) -> tuple[SignedGraph, AttackTrace]:
     """Greedily flip signs to minimize the balance degree.
 
-    Sequential mode re-selects after every flip (exact greedy). Batched
-    mode freezes the candidate ranking per epoch and flips the top
-    batch_size edges before re-ranking; the two coincide at batch_size=1.
-    The input graph is not modified; at most `budget` signs differ in the
-    returned copy. Raises ValueError for an edgeless graph or a random
-    config.
+    One loop serves both greedy modes: each epoch takes the top k distinct
+    candidates from the heap and flips them all with the ranking frozen,
+    then re-ranks. Batched mode has k = batch_size; sequential mode is
+    k = 1, re-selecting after every flip (exact greedy). The run stops
+    when the budget is spent or an epoch finds no candidate. The input
+    graph is not modified; at most `budget` signs differ in the returned
+    copy. Raises ValueError for an edgeless graph or a random config.
     """
     if cfg.mode == MODE_RANDOM:
         raise ValueError("use run_random_attack for random mode")
@@ -258,24 +246,17 @@ def run_balance_attack(
         return poisoned, AttackTrace(cfg.mode, budget, STATUS_ALREADY_MINIMAL, initial_d3)
 
     heap = _CandidateHeap(_adjacency(poisoned), table)
+    k = 1 if cfg.mode == MODE_BALANCE_SEQUENTIAL else cfg.batch_size
     status = STATUS_BUDGET_EXHAUSTED
-    if cfg.mode == MODE_BALANCE_SEQUENTIAL:
-        while len(records) < budget:
-            pick = heap.pop_best()
-            if pick is None:
-                status = STATUS_NO_CANDIDATES
-                break
-            heap.flip(records, *pick)
-    else:
-        while len(records) < budget:
-            batch = heap.pop_batch(min(cfg.batch_size, budget - len(records)))
-            if not batch:
-                status = STATUS_NO_CANDIDATES
-                break
-            for u, v, p_sel in batch:
-                # Selection used the frozen epoch ranking; the flip's
-                # delta comes from the live table.
-                heap.flip(records, u, v, p_sel)
+    while len(records) < budget:
+        batch = heap.pop_batch(min(k, budget - len(records)))
+        if not batch:
+            status = STATUS_NO_CANDIDATES
+            break
+        for u, v, p_sel in batch:
+            # Selection used the frozen epoch ranking; the flip's delta
+            # comes from the live table.
+            heap.flip(records, u, v, p_sel)
     log.debug(
         "%s selection: %d heap pops, %d of them stale (%.1f%%), %d flips",
         cfg.mode, heap.pops, heap.stale, 100 * heap.stale / max(heap.pops, 1),

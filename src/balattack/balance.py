@@ -3,7 +3,7 @@ single-edge sign flips cheap to score and apply."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -34,16 +34,9 @@ class BalanceReport:
         return None if self.d3 is None else float(self.d3)
 
     def as_record(self) -> dict:
-        """JSON-friendly dict; d3 reported as float (None if undefined)."""
-        return {
-            "n": self.n,
-            "m": self.m,
-            "pos_edges": self.pos_edges,
-            "neg_edges": self.neg_edges,
-            "balanced": self.balanced,
-            "unbalanced": self.unbalanced,
-            "d3": self.d3_float(),
-        }
+        """JSON-friendly dict of the fields in order; d3 reported as float
+        (None if undefined)."""
+        return {**asdict(self), "d3": self.d3_float()}
 
 
 def count_signed_triangles(

@@ -54,16 +54,25 @@ class SignedGraph:
         edges: Iterable[tuple[int, int, int]] = (),
         node_labels: list[str] | None = None,
     ):
+        """Check each edge in turn (ids in range, no self-loop, sign +1 or
+        -1, no conflict with an earlier sign for its pair; ValueError on the
+        first failure), then fill as `_trusted` does. A pair repeated with
+        the same sign counts once."""
         if node_count < 0:
             raise ValueError("node_count must be >= 0")
         if node_labels is not None and len(node_labels) != node_count:
             raise ValueError("node_labels length must equal node_count")
-        self._adj: list[dict[int, int]] = [{} for _ in range(node_count)]
-        self._m = 0
-        self._pos = 0
-        self.node_labels = node_labels
+        checked: dict[tuple[int, int], int] = {}
         for u, v, s in edges:
-            self._add_edge(u, v, s)
+            if not (0 <= u < node_count and 0 <= v < node_count):
+                raise ValueError(f"node id out of range: ({u}, {v})")
+            if u == v:
+                raise ValueError(f"self-loop not allowed: {u}")
+            if s != 1 and s != -1:
+                raise ValueError(f"edge sign must be +1 or -1, got {s}")
+            if checked.setdefault((u, v) if u < v else (v, u), s) != s:
+                raise ValueError(f"conflicting signs for edge ({u}, {v})")
+        self._fill(node_count, [(u, v, s) for (u, v), s in checked.items()], node_labels)
 
     @classmethod
     def _trusted(
@@ -72,34 +81,19 @@ class SignedGraph:
         """A graph from edges known to be valid: ids in range, no self-loops,
         signs +1/-1 and no pair twice. Skips the public constructor's checks."""
         g = cls.__new__(cls)
-        g._adj = adj = [{} for _ in range(n)]
-        g.node_labels = labels
+        g._fill(n, edges, labels)
+        return g
+
+    def _fill(self, n: int, edges: Iterable[tuple[int, int, int]], labels: list[str] | None):
+        """Set every slot from valid edges, as `_trusted` describes them."""
+        self._adj = adj = [{} for _ in range(n)]
+        self.node_labels = labels
         m = signed = 0
         for u, v, s in edges:
             adj[u][v] = adj[v][u] = s
             m += 1
             signed += s
-        g._m, g._pos = m, (m + signed) // 2
-        return g
-
-    def _add_edge(self, u: int, v: int, s: int) -> None:
-        n = len(self._adj)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"node id out of range: ({u}, {v})")
-        if u == v:
-            raise ValueError(f"self-loop not allowed: {u}")
-        if s != 1 and s != -1:
-            raise ValueError(f"edge sign must be +1 or -1, got {s}")
-        prev = self._adj[u].get(v)
-        if prev is not None:
-            if prev != s:
-                raise ValueError(f"conflicting signs for edge ({u}, {v})")
-            return
-        self._adj[u][v] = s
-        self._adj[v][u] = s
-        self._m += 1
-        if s > 0:
-            self._pos += 1
+        self._m, self._pos = m, (m + signed) // 2
 
     @property
     def node_count(self) -> int:
@@ -141,9 +135,7 @@ class SignedGraph:
 
     def flip_edge(self, u: int, v: int) -> None:
         """Negate the sign of existing edge {u,v}; an involution."""
-        if not (0 <= u < len(self._adj)) or v not in self._adj[u]:
-            raise ValueError(f"not an edge: ({u}, {v})")
-        s = -self._adj[u][v]
+        s = -self.sign(u, v)
         self._adj[u][v] = s
         self._adj[v][u] = s
         self._pos += 1 if s > 0 else -1
@@ -298,9 +290,11 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
     (also accepted: bare `+`/`-`), plus an optional `# nodes=<n>` header.
 
     Duplicate pairs with the same sign are tolerated; a conflicting
-    duplicate, a self-loop, or an invalid sign is a ParseError.
+    duplicate, a self-loop, an invalid sign, a second `# nodes=` header or
+    a header below the largest id is a ParseError.
     """
     declared_n: int | None = None
+    header_line = 0
     edges: dict[tuple[int, int], int] = {}
     max_id = -1
     for lineno, raw in enumerate(stream, 1):
@@ -310,7 +304,9 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
         if line.startswith("#"):
             m = _NODES_HEADER.match(line)
             if m:
-                declared_n = int(m.group(1))
+                if declared_n is not None:
+                    raise ParseError(f"second nodes header (first on line {header_line})", lineno)
+                declared_n, header_line = int(m.group(1)), lineno
             continue
         parts = line.split()
         if len(parts) != 3:
@@ -334,11 +330,9 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
         edges[key] = s
         if v > max_id or u > max_id:
             max_id = max(u, v)
-    n = max_id + 1
-    if declared_n is not None:
-        if declared_n < n:
-            raise ParseError(f"header declares {declared_n} nodes but ids reach {max_id}")
-        n = declared_n
+    if declared_n is not None and declared_n <= max_id:
+        raise ParseError(f"header declares {declared_n} nodes but ids reach {max_id}", header_line)
+    n = max_id + 1 if declared_n is None else declared_n
     return SignedGraph._trusted(n, [(u, v, s) for (u, v), s in edges.items()])
 
 

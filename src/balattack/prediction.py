@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
-from .attack import MODES, AttackConfig, as_fraction, run_attack_budgets
+from .attack import AttackConfig, as_fraction, run_attack_budgets
 from .balance import balance_degree
 from .graph import SignedGraph
 
@@ -168,15 +168,15 @@ def attack_eval_pipeline(
     fixed once up front and never attacked. Each mode attacks every
     nonzero budget in one `run_attack_budgets` sweep, and each row's d3 is
     its attack trace's exact final d3, so the clean graph gets a triangle
-    census of its own only when no attack runs.
+    census of its own only when no attack runs. A bad budget, mode, seed
+    or batch size raises ValueError before the split.
     """
     given, budgets = budgets, [as_fraction(b, "budget fraction") for b in budgets]
     for text, b in zip(given, budgets):
         if not 0 <= b <= 1:
             raise ValueError(f"budget fraction must be in [0, 1], got {text}")
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    cfgs = [AttackConfig(budget_fraction=1, mode=m, batch_size=batch_size, seed=attack_seed)
+            for m in dict.fromkeys(modes)]  # a repeated mode's rows share one sweep
     split = split_edges(g, train_fraction, split_seed)
     clean_train = split.train_graph()
     clean_report = evaluate_on_split(clean_train, split.test_edges)
@@ -184,12 +184,9 @@ def attack_eval_pipeline(
     clean_d3 = None if attacked else balance_degree(clean_train).d3
 
     cells: dict[tuple[str, Fraction], tuple[Fraction | None, EvalReport]] = {}
-    for mode in dict.fromkeys(modes):  # a repeated mode's rows share one sweep
-        cfg = AttackConfig(
-            budget_fraction=1, mode=mode, batch_size=batch_size, seed=attack_seed
-        )
+    for cfg in cfgs:
         for budget, poisoned, trace in run_attack_budgets(clean_train, cfg, attacked):
-            cells[mode, budget] = trace.final_d3, evaluate_on_split(poisoned, split.test_edges)
+            cells[cfg.mode, budget] = trace.final_d3, evaluate_on_split(poisoned, split.test_edges)
             clean_d3 = trace.initial_d3
             # Let go before the sweep builds the next budget's graph.
             del poisoned, trace

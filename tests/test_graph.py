@@ -298,6 +298,14 @@ class TestEdgeList:
         with pytest.raises(ParseError, match=message):
             load_edge_list(io.StringIO(text))
 
+    def test_header_below_the_ids_names_the_header_line(self):
+        with pytest.raises(ParseError, match="^line 2: header declares 2 nodes but ids reach 5$"):
+            load_edge_list(io.StringIO("0 1 +1\n# nodes=2\n0 5 +1\n"))
+
+    def test_second_nodes_header_is_refused(self):
+        with pytest.raises(ParseError, match=r"^line 2: second nodes header \(first on line 1\)$"):
+            load_edge_list(io.StringIO("# nodes=3\n# nodes=9\n0 1 +1\n"))
+
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
             load_edge_list(io.StringIO("0 1 +1\n1 2 -1\nbroken\n"))

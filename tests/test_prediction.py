@@ -23,6 +23,7 @@ from balattack import (
     write_pipeline_csv,
 )
 from balattack import attack as attack_module
+from balattack import prediction
 from balattack.prediction import evaluate_on_split
 from oracles import f1_brute, reference_attack_eval_pipeline, triad_vote_predict
 from util import clustered_signed_graph, random_signed_graph
@@ -323,6 +324,20 @@ class TestPipeline:
             attack_eval_pipeline(g, ["2e4300"], [MODE_RANDOM])
         with pytest.raises(ValueError, match="mode"):
             attack_eval_pipeline(g, [0.1], ["bogus"])
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"attack_seed": -3}, "seed must be >= 0"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"batch_size": 2.5}, "batch_size must be >= 1"),
+        ({"modes": [MODE_RANDOM, "bogus"]}, r"^unknown mode 'bogus'; expected one of \("),
+    ], ids=["seed", "batch-size-0", "batch-size-2.5", "mode"])
+    def test_attack_arguments_are_checked_before_the_split(self, monkeypatch, kwargs, message):
+        splits = []
+        real = prediction.split_edges
+        monkeypatch.setattr(prediction, "split_edges", lambda *a: splits.append(a) or real(*a))
+        with pytest.raises(ValueError, match=message):
+            attack_eval_pipeline(self._graph(), [0, 0.1], **{"modes": [MODE_RANDOM], **kwargs})
+        assert splits == []
 
     def test_row_fields(self):
         g = self._graph()
