@@ -32,26 +32,26 @@ INPUT_SHA256 = {
     "hk1000.csv": "1f9f64622d5e2b3d73f5029c1a84f916bd2dcfb48e0a355a982fdb479c44cbe4",
 }
 
+# Case name -> argv; `{inputs}` is INPUTS and `{out}` the case's output
+# directory.
+_EDGES, _CSV = "{inputs}/hk1000.edges", "{inputs}/hk1000.csv"
 _BUDGETS = "0.05,0.1,0.2,1"
 _ATTACK_OUT = ["--out-graph", "{out}/attacked.edges", "--out-trace", "{out}/trace.csv"]
-_EVAL = ["eval", "--input", "hk1000.csv", "--mode", "balance,balance-batched,random",
+_EVAL = ["eval", "--input", _CSV, "--mode", "balance,balance-batched,random",
          "--budget", "0,0.05,0.1", "--seed", "3", "--out-csv", "{out}/eval.csv"]
-
-# Case name -> argv; `{out}` is the case's output directory, and input
-# names are relative to INPUTS.
 CASES = {
-    "stats-edges": ["stats", "--input", "hk1000.edges", "--out-csv", "{out}/stats.csv"],
-    "stats-csv": ["stats", "--input", "hk1000.csv", "--out-csv", "{out}/stats.csv"],
-    "balance": ["attack", "--input", "hk1000.edges", "--mode", "balance",
-                "--budget", _BUDGETS, *_ATTACK_OUT],
+    "stats-edges": ["stats", "--input", _EDGES, "--out-csv", "{out}/stats.csv"],
+    "stats-csv": ["stats", "--input", _CSV, "--out-csv", "{out}/stats.csv"],
+    "balance": ["attack", "--input", _EDGES, "--mode", "balance", "--budget", _BUDGETS,
+                *_ATTACK_OUT],
     **{
-        f"batched-{k}": ["attack", "--input", "hk1000.edges", "--mode", "balance-batched",
+        f"batched-{k}": ["attack", "--input", _EDGES, "--mode", "balance-batched",
                          "--batch-size", str(k), "--budget", _BUDGETS, *_ATTACK_OUT]
         for k in (1, 7, 10)
     },
     # 0.05 and 0.1 sample from a set, 0.25 and 0.3 from a pool: the 0.3 run
     # serves itself and 0.25, and 0.05 and 0.1 run standalone.
-    "random": ["attack", "--input", "hk1000.edges", "--mode", "random", "--seed", "3",
+    "random": ["attack", "--input", _EDGES, "--mode", "random", "--seed", "3",
                "--budget", "0.05,0.3,0.1,0.25", *_ATTACK_OUT],
     "eval-split0": [*_EVAL, "--split-seed", "0"],
     "eval-split7": [*_EVAL, "--split-seed", "7"],
@@ -139,8 +139,7 @@ def _sha256(data: bytes) -> str:
 def run_case(name: str, out: Path) -> tuple[dict[str, str], str]:
     """Run case `name` with its outputs in `out`; return the sha256 of each
     output file and of stdout by name, and stdout itself."""
-    argv = [a.format(out=out) for a in CASES[name]]
-    argv[argv.index("--input") + 1] = str(INPUTS / argv[argv.index("--input") + 1])
+    argv = [a.format(inputs=INPUTS, out=out) for a in CASES[name]]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(argv) == 0
