@@ -292,19 +292,13 @@ class TestEdgeList:
             ("0 1 5\n", "sign"),
             ("-1 2 +1\n", "non-negative"),
             ("# nodes=2\n0 5 +1\n", "declares"),
+            ("0 1 +1\n# nodes=2\n0 5 +1\n", "^line 2: header declares 2 nodes but ids reach 5$"),
+            ("# nodes=3\n# nodes=9\n0 1 +1\n", r"^line 2: second nodes header \(first on line 1\)$"),
         ],
     )
     def test_malformed_lines(self, text, message):
         with pytest.raises(ParseError, match=message):
             load_edge_list(io.StringIO(text))
-
-    def test_header_below_the_ids_names_the_header_line(self):
-        with pytest.raises(ParseError, match="^line 2: header declares 2 nodes but ids reach 5$"):
-            load_edge_list(io.StringIO("0 1 +1\n# nodes=2\n0 5 +1\n"))
-
-    def test_second_nodes_header_is_refused(self):
-        with pytest.raises(ParseError, match=r"^line 2: second nodes header \(first on line 1\)$"):
-            load_edge_list(io.StringIO("# nodes=3\n# nodes=9\n0 1 +1\n"))
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError, match="line 3"):
