@@ -31,14 +31,18 @@ TRACE_CSV_COLUMNS = "step,u,v,old_sign,p_uv,delta_trace,d3"
 log = logging.getLogger(__name__)
 
 
-def as_fraction(x: Fraction | float | int | str, what: str = "fraction") -> Fraction:
+def as_fraction(
+    x: Fraction | float | int | str, what: str = "fraction", span: str = "[0, 1]"
+) -> Fraction:
     """Exact value of a budget or split fraction, `what` naming it in
     errors. Text, and a float by its decimal repr (so 0.05 means 1/20, not
     the nearest binary double), goes through the rating loader's parse,
-    exponent bound included."""
-    if isinstance(x, (float, str)):
-        return parse_fraction(str(x), what)
-    return Fraction(x)
+    exponent bound included. ValueError unless the value lies in `span`:
+    "[0, 1]", "(0, 1]" or "(0, 1)", a parenthesis marking an open end."""
+    frac = parse_fraction(str(x), what) if isinstance(x, (float, str)) else Fraction(x)
+    if frac < 0 or frac > 1 or (frac == 0 and span[0] == "(") or (frac == 1 and span[-1] == ")"):
+        raise ValueError(f"{what} must be in {span}, got {x}")
+    return frac
 
 
 @dataclass(frozen=True)
@@ -59,9 +63,7 @@ class AttackConfig:
     seed: int = 0
 
     def __post_init__(self):
-        frac = as_fraction(self.budget_fraction, "budget_fraction")
-        if not 0 < frac <= 1:
-            raise ValueError(f"budget_fraction must be in (0, 1], got {self.budget_fraction}")
+        frac = as_fraction(self.budget_fraction, "budget_fraction", "(0, 1]")
         object.__setattr__(self, "budget_fraction", frac)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
@@ -133,12 +135,6 @@ class AttackTrace:
             )
 
 
-def _adjacency(g: SignedGraph) -> list[dict[int, int]]:
-    """Per-node neighbour -> sign dicts, bound once. Flips mutate these
-    dicts in place, so the list stays live for the graph's lifetime."""
-    return [g.adjacency(x) for x in range(g.node_count)]
-
-
 def _scored_candidates(
     adj: list[dict[int, int]], table: TwoPathTable
 ) -> list[tuple[int, int, int]]:
@@ -152,7 +148,7 @@ def select_candidates(g: SignedGraph, table: TwoPathTable) -> set[tuple[int, int
 
     Zero two-path sums are excluded — flipping them changes nothing.
     """
-    return {(u, v) for _, u, v in _scored_candidates(_adjacency(g), table)}
+    return {(u, v) for _, u, v in _scored_candidates(g.adjacencies(), table)}
 
 
 def _flip(
@@ -245,7 +241,7 @@ def run_balance_attack(
         # candidate would need a balanced triangle behind it).
         return poisoned, AttackTrace(cfg.mode, budget, STATUS_ALREADY_MINIMAL, initial_d3)
 
-    heap = _CandidateHeap(_adjacency(poisoned), table)
+    heap = _CandidateHeap(poisoned.adjacencies(), table)
     k = 1 if cfg.mode == MODE_BALANCE_SEQUENTIAL else cfg.batch_size
     status = STATUS_BUDGET_EXHAUSTED
     while len(records) < budget:

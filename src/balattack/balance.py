@@ -53,7 +53,7 @@ def count_signed_triangles(
     adds each triangle's two-path a_xz*a_zy into the entry of its edge
     {x,y}, for all three edges; entries that start at 0 end at (A^2)_xy.
     """
-    adj = [g.adjacency(u) for u in range(g.node_count)]
+    adj = g.adjacencies()
     pos = [0] * len(adj)
     for i, u in enumerate(sorted(range(len(adj)), key=lambda x: len(adj[x]))):
         pos[u] = i

@@ -52,27 +52,23 @@ STATS_CSV_SCHEMA = "balance-report/1"
 # argument parsing helpers: each returns the JSON value a manifest records
 
 
-def _fraction(token: str, what: str, lo_open: bool, hi_open: bool = False) -> str:
-    """The token, whose exact value must lie in [0, 1] less the ends
-    marked open."""
+def _fraction(token: str, what: str, span: str) -> str:
+    """The token, whose exact value must lie in `span` (see `as_fraction`)."""
     token = token.strip()
     try:
-        frac = as_fraction(token, what)
+        as_fraction(token, what, span)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if frac < 0 or frac > 1 or (lo_open and frac == 0) or (hi_open and frac == 1):
-        span = f"{'(' if lo_open else '['}0, 1{')' if hi_open else ']'}"
-        raise argparse.ArgumentTypeError(f"{what} {token} outside {span}")
     return token
 
 
-def _budget_list(lo_open: bool):
-    return lambda text: [_fraction(t, "budget", lo_open) for t in text.split(",")]
+def _budget_list(span: str):
+    return lambda text: [_fraction(t, "budget", span) for t in text.split(",")]
 
 
 def _eval_budgets(text: str) -> list[str]:
     """The budgets, led by a clean-baseline "0" unless they hold a zero."""
-    tokens = _budget_list(False)(text)
+    tokens = _budget_list("[0, 1]")(text)
     return tokens if any(as_fraction(t) == 0 for t in tokens) else ["0", *tokens]
 
 
@@ -137,7 +133,7 @@ def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
     p = add_command("attack", "flip edge signs to reduce the balance degree",
                     _attack_outputs, ("mode", "budgets", "batch_size", "seed"))
     p.add_argument("--mode", choices=tuple(CLI_MODES), default="balance")
-    p.add_argument("--budget", dest="budgets", required=True, type=_budget_list(True),
+    p.add_argument("--budget", dest="budgets", required=True, type=_budget_list("(0, 1]"),
                    metavar="FRAC[,FRAC...]",
                    help="edge fraction(s) in (0,1]; several budgets share one "
                    "greedy run in the balance modes")
@@ -162,7 +158,7 @@ def build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), default=0, metavar="N",
                    help="attack seed, >= 0")
     p.add_argument("--split-seed", type=_int_at_least(0), default=0, metavar="N")
-    p.add_argument("--train-frac", type=lambda t: _fraction(t, "train fraction", True, True),
+    p.add_argument("--train-frac", type=lambda t: _fraction(t, "train fraction", "(0, 1)"),
                    default="4/5", metavar="F")
     p.add_argument("--out-csv", metavar="PATH", help="pipeline CSV (default: stdout)")
 

@@ -126,6 +126,11 @@ class SignedGraph:
             raise ValueError(f"node id out of range: {u}")
         return self._adj[u]
 
+    def adjacencies(self) -> list[dict[int, int]]:
+        """Every node's neighbor -> sign mapping, indexed by id. The dicts
+        are the graph's own, so flips show in them. Treat as read-only."""
+        return list(self._adj)
+
     def degree(self, u: int) -> int:
         return len(self.adjacency(u))
 
@@ -288,6 +293,7 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
 def load_edge_list(stream: Iterable[str]) -> SignedGraph:
     """Load the canonical edge-list format: `u v s` lines, s in {+1,-1}
     (also accepted: bare `+`/`-`), plus an optional `# nodes=<n>` header.
+    Node ids and the header's n are ASCII digits, nothing else.
 
     Duplicate pairs with the same sign are tolerated; a conflicting
     duplicate, a self-loop, an invalid sign, a second `# nodes=` header or
@@ -304,6 +310,8 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
         if line.startswith("#"):
             m = _NODES_HEADER.match(line)
             if m:
+                if not m.group(1).isascii():
+                    raise ParseError(f"non-integer node count {m.group(1)!r}", lineno)
                 if declared_n is not None:
                     raise ParseError(f"second nodes header (first on line {header_line})", lineno)
                 declared_n, header_line = int(m.group(1)), lineno
@@ -311,23 +319,21 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(f"expected 'u v s', got {len(parts)} fields", lineno)
-        try:
-            u = int(parts[0])
-            v = int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer node id in {line!r}", lineno) from None
-        if u < 0 or v < 0:
-            raise ParseError("node ids must be non-negative", lineno)
+        a, b, sign = parts
+        if not (a.isdigit() and b.isdigit() and a.isascii() and b.isascii()):
+            # int() would also read "1_0", "+1" and non-ASCII digits
+            negative = any(t[:1] == "-" and t[1:].isdigit() and t.isascii() for t in (a, b))
+            raise ParseError("node ids must be non-negative" if negative
+                             else f"non-integer node id in {line!r}", lineno)
+        u, v = int(a), int(b)
         if u == v:
             raise ParseError(f"self-loop on node {u}", lineno)
-        s = _SIGN_TOKENS.get(parts[2])
+        s = _SIGN_TOKENS.get(sign)
         if s is None:
-            raise ParseError(f"sign must be +1 or -1, got {parts[2]!r}", lineno)
+            raise ParseError(f"sign must be +1 or -1, got {sign!r}", lineno)
         key = (u, v) if u < v else (v, u)
-        prev = edges.get(key)
-        if prev is not None and prev != s:
+        if edges.setdefault(key, s) != s:
             raise ParseError(f"conflicting duplicate for edge {key}", lineno)
-        edges[key] = s
         if v > max_id or u > max_id:
             max_id = max(u, v)
     if declared_n is not None and declared_n <= max_id:

@@ -23,15 +23,10 @@ PIPELINE_CSV_COLUMNS = (
 @dataclass(frozen=True)
 class EdgeSplit:
     """Disjoint train/test partition of a graph's signed edges, as
-    `split_edges` takes them from a valid graph."""
+    `split_edges` takes them: a train graph on all nodes, and test edges."""
 
-    node_count: int
-    train_edges: tuple[tuple[int, int, int], ...]
+    train: SignedGraph
     test_edges: tuple[tuple[int, int, int], ...]
-
-    def train_graph(self) -> SignedGraph:
-        """Training edges over the full node set (test pairs are absent)."""
-        return SignedGraph._trusted(self.node_count, self.train_edges)
 
 
 def split_edges(
@@ -44,9 +39,7 @@ def split_edges(
     """
     if type(seed) is not int or seed < 0:
         raise ValueError(f"split seed must be >= 0 and an int, got {seed!r}")
-    given, fraction = fraction, as_fraction(fraction, "train fraction")
-    if not 0 < fraction < 1:
-        raise ValueError(f"train fraction must be in (0, 1), got {given}")
+    given, fraction = fraction, as_fraction(fraction, "train fraction", "(0, 1)")
     edges = list(g.edges())
     n_train = round(fraction * len(edges))
     if n_train == 0 or n_train == len(edges):
@@ -57,8 +50,7 @@ def split_edges(
     rng = random.Random(seed)
     rng.shuffle(edges)
     return EdgeSplit(
-        node_count=g.node_count,
-        train_edges=tuple(edges[:n_train]),
+        train=SignedGraph._trusted(g.node_count, edges[:n_train]),
         test_edges=tuple(edges[n_train:]),
     )
 
@@ -119,7 +111,7 @@ def evaluate_on_split(train: SignedGraph, test_edges: Iterable[tuple[int, int, i
     (no common neighbours included) the majority training sign, +1 on an
     exact tie. `triad_vote_predict` in tests/oracles.py is the per-pair
     reference vote."""
-    adj = [train.adjacency(x) for x in range(train.node_count)]
+    adj = train.adjacencies()
     n = len(adj)
     majority = 1 if train.pos_edge_count >= train.neg_edge_count else -1
     preds: list[int] = []
@@ -171,21 +163,17 @@ def attack_eval_pipeline(
     census of its own only when no attack runs. A bad budget, mode, seed
     or batch size raises ValueError before the split.
     """
-    given, budgets = budgets, [as_fraction(b, "budget fraction") for b in budgets]
-    for text, b in zip(given, budgets):
-        if not 0 <= b <= 1:
-            raise ValueError(f"budget fraction must be in [0, 1], got {text}")
+    budgets = [as_fraction(b, "budget fraction") for b in budgets]
     cfgs = [AttackConfig(budget_fraction=1, mode=m, batch_size=batch_size, seed=attack_seed)
             for m in dict.fromkeys(modes)]  # a repeated mode's rows share one sweep
     split = split_edges(g, train_fraction, split_seed)
-    clean_train = split.train_graph()
-    clean_report = evaluate_on_split(clean_train, split.test_edges)
+    clean_report = evaluate_on_split(split.train, split.test_edges)
     attacked = list(dict.fromkeys(b for b in budgets if b > 0))
-    clean_d3 = None if attacked else balance_degree(clean_train).d3
+    clean_d3 = None if attacked else balance_degree(split.train).d3
 
     cells: dict[tuple[str, Fraction], tuple[Fraction | None, EvalReport]] = {}
     for cfg in cfgs:
-        for budget, poisoned, trace in run_attack_budgets(clean_train, cfg, attacked):
+        for budget, poisoned, trace in run_attack_budgets(split.train, cfg, attacked):
             cells[cfg.mode, budget] = trace.final_d3, evaluate_on_split(poisoned, split.test_edges)
             clean_d3 = trace.initial_d3
             # Let go before the sweep builds the next budget's graph.

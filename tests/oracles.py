@@ -384,7 +384,7 @@ def reference_attack_eval_pipeline(
     """`attack_eval_pipeline` with one standalone `run_attack` per nonzero
     budget and a fresh triangle census of every row's graph."""
     split = split_edges(g, train_fraction, split_seed)
-    clean_train = split.train_graph()
+    clean_train = split.train
     rows = []
     for mode in modes:
         for budget in map(as_fraction, budgets):

@@ -177,11 +177,12 @@ class TestAttack:
         assert main(["attack", "--input", str(k3_file), "--budget", "0.5"]) == 1
         assert "out-graph" in capsys.readouterr().err
 
-    def test_budget_out_of_range_is_usage_error(self, k3_file):
+    def test_budget_out_of_range_is_usage_error(self, k3_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["attack", "--input", str(k3_file), "--budget", "1.5",
                   "--out-trace", "t.csv"])
         assert exc.value.code == 2
+        assert "argument --budget: budget must be in (0, 1], got 1.5" in capsys.readouterr().err
 
     def test_unknown_mode_is_usage_error(self, k3_file):
         with pytest.raises(SystemExit) as exc:

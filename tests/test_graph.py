@@ -291,6 +291,11 @@ class TestEdgeList:
             ("0 0 +1\n", "self-loop"),
             ("0 1 5\n", "sign"),
             ("-1 2 +1\n", "non-negative"),
+            # int() reads each of these ids, but none is ASCII digits alone
+            ("0 1 +1\n0 1_0 +1\n", "^line 2: non-integer node id"),
+            ("0 \u0663 +1\n", "^line 1: non-integer node id"),
+            ("0 +1 -1\n", "^line 1: non-integer node id"),
+            ("# nodes=\u0665\n0 1 +1\n", "^line 1: non-integer node count"),
             ("# nodes=2\n0 5 +1\n", "declares"),
             ("0 1 +1\n# nodes=2\n0 5 +1\n", "^line 2: header declares 2 nodes but ids reach 5$"),
             ("# nodes=3\n# nodes=9\n0 1 +1\n", r"^line 2: second nodes header \(first on line 1\)$"),

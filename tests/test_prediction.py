@@ -34,9 +34,9 @@ class TestSplitEdges:
         rng = random.Random(1)
         g = random_signed_graph(rng, 30, 0.3)
         split = split_edges(g, Fraction(4, 5), seed=3)
-        assert len(split.train_edges) == round(Fraction(4, 5) * g.edge_count)
-        assert len(split.train_edges) + len(split.test_edges) == g.edge_count
-        train = set(split.train_edges)
+        assert split.train.edge_count == round(Fraction(4, 5) * g.edge_count)
+        assert split.train.edge_count + len(split.test_edges) == g.edge_count
+        train = set(split.train.edges())
         test = set(split.test_edges)
         assert not train & test
         assert train | test == set(g.edges())
@@ -44,7 +44,7 @@ class TestSplitEdges:
     def test_ten_edges_default_fraction(self):
         g = SignedGraph(11, [(i, i + 1, 1) for i in range(10)])
         split = split_edges(g, seed=0)
-        assert len(split.train_edges) == 8
+        assert split.train.edge_count == 8
         assert len(split.test_edges) == 2
 
     def test_deterministic_and_seed_sensitive(self):
@@ -54,15 +54,15 @@ class TestSplitEdges:
         a = split_edges(g, seed=7)
         b = split_edges(g, seed=7)
         c = split_edges(g, seed=8)
-        assert a.train_edges == b.train_edges
-        assert a.train_edges != c.train_edges
+        assert a == b
+        assert a != c
 
     def test_train_graph_keeps_all_nodes(self):
         g = SignedGraph(4, [(0, 1, 1), (1, 2, -1), (2, 3, 1), (0, 3, 1), (0, 2, 1)])
         split = split_edges(g, seed=1)
-        t = split.train_graph()
+        t = split.train
         assert t.node_count == 4
-        assert t.edge_count == len(split.train_edges)
+        assert t.edge_count + len(split.test_edges) == g.edge_count
 
     def test_too_small_to_split(self):
         g = SignedGraph(2, [(0, 1, 1)])
@@ -81,7 +81,7 @@ class TestSplitEdges:
     @pytest.mark.parametrize("frac", [0, 1, 1.2, -0.5])
     def test_fraction_range(self, frac):
         g = SignedGraph(11, [(i, i + 1, 1) for i in range(10)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^train fraction must be in \(0, 1\), got {frac}$"):
             split_edges(g, frac, seed=0)
 
 
@@ -248,7 +248,7 @@ class TestPipeline:
     def test_sequential_prefix_rows_match_standalone_runs(self):
         g = self._graph()
         rows = attack_eval_pipeline(g, [0.1, 0.3], [MODE_BALANCE_SEQUENTIAL], split_seed=4)
-        train = split_edges(g, seed=4).train_graph()
+        train = split_edges(g, seed=4).train
         for row in rows:
             poisoned, _ = run_balance_attack(
                 train, AttackConfig(budget_fraction=row.budget_frac)

@@ -1,10 +1,13 @@
-"""Property tests on random signed graphs and random rating files.
+"""Property tests on random signed graphs, rating files and edge lists.
 
 The evaluation sweep reports each row's d3 from its attack trace instead
 of a fresh triangle census, and serves smaller greedy budgets from a trace
-prefix. These properties check both against the direct computation. The
-rating loader's integer fast path is checked against the plain per-row
-reference loader.
+prefix. These properties check both against the direct computation, and
+check that every budget the sweep serves is a sign-only perturbation
+within that budget. The rating loader's integer fast path is checked
+against the plain per-row reference loader. The edge list round-trips,
+and a malformed edge-list line fails with its line number instead of
+becoming an edge.
 """
 
 from __future__ import annotations
@@ -24,7 +27,11 @@ from balattack import (
     ParseError,
     SignedGraph,
     balance_degree,
+    load_edge_list,
     load_rating_csv,
+    run_attack_budgets,
+    verify_perturbation,
+    write_edge_list,
 )
 from oracles import reference_load_rating_csv, run_attack
 
@@ -76,6 +83,93 @@ def test_trace_prefix_equals_a_standalone_run(g, cfg, data):
     k = data.draw(st.integers(1, cfg.budget_edges(m)), label="k")
     _, alone = run_attack(g, replace(cfg, budget_fraction=Fraction(k, m)))
     assert full.prefix(k) == alone
+
+
+# Budget lists with repeats and in any order, given as Fractions, floats,
+# ints and text.
+_SWEEP_FRACTIONS = st.lists(
+    st.sampled_from([Fraction(1, 50), "0.1", 0.25, "1/3", Fraction(1, 2), 1])
+    | st.fractions(Fraction(1, 50), 1),
+    min_size=1, max_size=5,
+)
+
+
+@PROPERTY_SETTINGS
+@given(g=signed_graphs(), cfg=attack_configs, fractions=_SWEEP_FRACTIONS)
+def test_every_sweep_yield_is_a_permitted_perturbation(g, cfg, fractions):
+    before = g.copy()
+    yielded = []
+    for f, poisoned, _ in run_attack_budgets(g, cfg, fractions):
+        k = replace(cfg, budget_fraction=f).budget_edges(g.edge_count)
+        assert verify_perturbation(g, poisoned, k).ok
+        yielded.append(f)
+    assert yielded == [replace(cfg, budget_fraction=f).budget_fraction for f in fractions]
+    assert g == before
+
+
+def _written(g: SignedGraph) -> str:
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    return buf.getvalue()
+
+
+@PROPERTY_SETTINGS
+@given(g=signed_graphs(), isolated=st.integers(0, 3))
+def test_edge_list_round_trips(g, isolated):
+    g = SignedGraph(g.node_count + isolated, g.edges())
+    text = _written(g)
+    back = load_edge_list(io.StringIO(text))
+    assert back == g and back.node_count == g.node_count
+    assert _written(back) == text
+
+
+_SIGN_SPELLINGS = {1: ("+1", "1", "+"), -1: ("-1", "-")}
+# Id tokens that are not ASCII digits: ones int() reads, negative ones, and
+# plain garbage.
+_BAD_IDS = ("1_0", "\u0663", "\uff11", "+1", "-1", "-3", "x", "1.0")
+
+
+@st.composite
+def edge_lines(draw) -> tuple[str, tuple[int, int, int] | None, bool]:
+    """One edge-list line as (text, the edge it gives or None, malformed).
+    A well-formed edge line gives its pair the one sign (u + v) % 3 picks,
+    so two such lines never conflict."""
+    kind = draw(st.sampled_from(
+        ("edge",) * 8 + ("blank", "comment", "id", "fields", "sign", "loop")
+    ))
+    u, v = draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
+    s = 1 if (u + v) % 3 else -1
+    fields = [str(u), str(v), draw(st.sampled_from(_SIGN_SPELLINGS[s]))]
+    join = draw(st.sampled_from((" ", "\t", "  "))).join
+    if kind == "edge":
+        return join(fields), (u, v, s), False
+    if kind == "blank":
+        return draw(st.sampled_from(("", "  ", "\t"))), None, False
+    if kind == "comment":
+        return draw(st.sampled_from(("# note", "#nodes", "# u v s"))), None, False
+    if kind == "id":
+        fields[draw(st.integers(0, 1))] = draw(st.sampled_from(_BAD_IDS))
+    elif kind == "fields":
+        fields = draw(st.sampled_from((fields[:2], fields + ["0"])))
+    elif kind == "sign":
+        fields[2] = "2"
+    else:
+        fields[1] = fields[0]  # self-loop
+    return join(fields), None, True
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(lines=st.lists(edge_lines(), max_size=12))
+def test_a_malformed_edge_list_line_never_becomes_an_edge(lines):
+    bad = [lineno for lineno, (_, _, malformed) in enumerate(lines, 1) if malformed]
+    try:
+        g = load_edge_list(io.StringIO("".join(text + "\n" for text, _, _ in lines)))
+    except ParseError as exc:
+        assert bad and exc.line == bad[0], (str(exc), bad)
+        return
+    assert not bad
+    edges = [edge for _, edge, _ in lines if edge]
+    assert g == SignedGraph(max((max(u, v) + 1 for u, v, _ in edges), default=0), edges)
 
 
 # Ids and rating fields with padding (ASCII, an em space, a file separator),
