@@ -84,9 +84,11 @@ class FlipRecord(NamedTuple):
 
     `p_uv` is the two-path sum the flip was selected on (in batched mode
     that is the epoch-frozen value). `delta_trace` is the realized change
-    of tr(A^3), -12 * old_sign * the live p_uv. `d3` is the balance degree
-    after the flip, read from the two-path table's exactly kept census;
-    None only on a triangle-free graph, where it is undefined.
+    of tr(A^3), -12 * old_sign * the live p_uv. `census` is the graph's
+    (balanced, unbalanced) triangle count after the flip, the two-path
+    table's exactly kept tuple. `d3` is its balance degree as an exact
+    Fraction, built only when read; None only on a triangle-free graph,
+    where it is undefined.
     """
 
     step: int
@@ -95,7 +97,11 @@ class FlipRecord(NamedTuple):
     old_sign: int
     p_uv: int
     delta_trace: int
-    d3: Fraction | None
+    census: tuple[int, int]
+
+    @property
+    def d3(self) -> Fraction | None:
+        return census_d3(self.census)
 
 
 @dataclass
@@ -129,7 +135,10 @@ class AttackTrace:
         stream.write(f"# schema={TRACE_CSV_SCHEMA}\n")
         stream.write(TRACE_CSV_COLUMNS + "\n")
         for r in self.records:
-            d3 = "" if r.d3 is None else repr(float(r.d3))
+            # Correctly rounded, as float(r.d3) is: the same rational.
+            balanced, unbalanced = r.census
+            total = balanced + unbalanced
+            d3 = repr(balanced / total) if total else ""
             stream.write(
                 f"{r.step},{r.u},{r.v},{r.old_sign},{r.p_uv},{r.delta_trace},{d3}\n"
             )
@@ -156,12 +165,10 @@ def _flip(
 ) -> None:
     """Flip {u,v} through the table and append its record. `p_sel` is the
     two-path sum the flip was selected on; the realized delta comes from
-    the live table, and the balance degree from the table's census."""
+    the live table, and the census from the table."""
     p = table.get(u, v)
     a = table.apply_flip(u, v)
-    records.append(
-        FlipRecord(len(records) + 1, u, v, a, p_sel, -12 * a * p, census_d3(table.census))
-    )
+    records.append(FlipRecord(len(records) + 1, u, v, a, p_sel, -12 * a * p, table.census))
 
 
 class _CandidateHeap:
@@ -390,8 +397,11 @@ def run_attack_budgets(
     from a prefix of that run's trace. Greedy selection never looks at the
     budget; a random budget is served only when its own sample is that
     prefix, and otherwise flips its sample on a copy of g's two-path table.
-    A budget's graph is built only when the caller asks for it, so a
-    caller that drops each one before the next holds one at a time.
+    When the largest budget is listed first, its graph is the run's own;
+    every other budget's graph is replayed when the caller asks for it.
+    The run's graph is never held while another budget is served, so a
+    caller that drops each yield before the next holds one at a time. No
+    two yields are the same object, and g is not modified.
     """
     cfgs = [replace(cfg, budget_fraction=f) for f in fractions]
     if not cfgs:
@@ -412,15 +422,17 @@ def run_attack_budgets(
         )
     else:
         poisoned, full = run_balance_attack(g, top)
-    replay = len(cfgs) > 1
-    if replay:
-        poisoned = None  # each budget replays its own prefix instead
+    if cfgs[0] is not top:
+        poisoned = None  # replayed in its turn, not held through the budgets before it
     for c, k in zip(cfgs, ks):
         if k in standalone:
             yield (c.budget_fraction, *run_random_attack(g, c, start=start))
             continue
         trace = full.prefix(k)
-        yield c.budget_fraction, apply_flips(g, trace.flipped_edges()) if replay else poisoned, trace
+        if poisoned is None:
+            poisoned = apply_flips(g, trace.flipped_edges())
+        yield c.budget_fraction, poisoned, trace
+        poisoned = None
 
 
 def apply_flips(g: SignedGraph, edges: Iterable[tuple[int, int]]) -> SignedGraph:

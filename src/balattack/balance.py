@@ -168,8 +168,7 @@ class TwoPathTable:
         flip swaps the two. Returns the pre-flip sign.
         """
         g = self.graph
-        a = g.sign(u, v)
-        g.flip_edge(u, v)
+        a = g.flip_edge(u, v)
         p = self._p
         d = a * p[(u, v) if u < v else (v, u)]
         self.census = (self.census[0] - d, self.census[1] + d)

@@ -95,6 +95,21 @@ class SignedGraph:
             signed += s
         self._m, self._pos = m, (m + signed) // 2
 
+    def _without(self, edges: Iterable[tuple[int, int, int]]) -> "SignedGraph":
+        """A copy without the listed edges, given as `edges()` yields them
+        and each at most once; their signs are read from this graph. The
+        copy carries no node labels."""
+        g = SignedGraph.__new__(SignedGraph)
+        g._adj = adj = [dict(d) for d in self._adj]
+        g.node_labels = None
+        m, pos = self._m, self._pos
+        for u, v, _s in edges:
+            del adj[v][u]
+            m -= 1
+            pos -= adj[u].pop(v) > 0
+        g._m, g._pos = m, pos
+        return g
+
     @property
     def node_count(self) -> int:
         return len(self._adj)
@@ -138,12 +153,13 @@ class SignedGraph:
         """Unsigned degrees, ascending. Invariant under any sign flips."""
         return sorted(len(d) for d in self._adj)
 
-    def flip_edge(self, u: int, v: int) -> None:
-        """Negate the sign of existing edge {u,v}; an involution."""
-        s = -self.sign(u, v)
-        self._adj[u][v] = s
-        self._adj[v][u] = s
-        self._pos += 1 if s > 0 else -1
+    def flip_edge(self, u: int, v: int) -> int:
+        """Negate the sign of existing edge {u,v}; an involution. Returns
+        the sign before the flip."""
+        a = self.sign(u, v)
+        self._adj[u][v] = self._adj[v][u] = -a
+        self._pos -= a
+        return a
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, sign) with u < v in sorted pair order."""
@@ -293,7 +309,10 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
 def load_edge_list(stream: Iterable[str]) -> SignedGraph:
     """Load the canonical edge-list format: `u v s` lines, s in {+1,-1}
     (also accepted: bare `+`/`-`), plus an optional `# nodes=<n>` header.
-    Node ids and the header's n are ASCII digits, nothing else.
+    Node ids and the header's n are ASCII digits, nothing else. Fields are
+    separated by ASCII spaces and tabs, and only those and a line ending
+    (`\n`, `\r\n`) may pad a line: any other whitespace or control
+    character, in a comment too, is a ParseError.
 
     Duplicate pairs with the same sign are tolerated; a conflicting
     duplicate, a self-loop, an invalid sign, a second `# nodes=` header or
@@ -304,9 +323,14 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
     edges: dict[tuple[int, int], int] = {}
     max_id = -1
     for lineno, raw in enumerate(stream, 1):
-        line = raw.strip()
+        line = raw.strip(" \t\r\n")
         if not line:
             continue
+        if not line.isprintable() and not line.replace("\t", " ").isprintable():
+            # str.split() would take \x1c or U+3000 for a separator
+            bad = next(c for c in line if c != "\t" and not c.isprintable())
+            raise ParseError(f"character {bad!r} is not allowed: fields are separated "
+                             "by ASCII spaces and tabs", lineno)
         if line.startswith("#"):
             m = _NODES_HEADER.match(line)
             if m:

@@ -36,6 +36,11 @@ def split_edges(
     test. Deterministic per seed, which must be an int >= 0 (`random.Random`
     drops its sign). Raises ValueError for any other seed or when either
     side would be empty.
+
+    The test edges are the tail of `g.edges()` after `random.shuffle`, in
+    its order. Shuffle is Fisher-Yates from the end, so its draws for
+    positions m-1 down to n_train fix that tail; only those are drawn, and
+    the train graph is g without the test edges.
     """
     if type(seed) is not int or seed < 0:
         raise ValueError(f"split seed must be >= 0 and an int, got {seed!r}")
@@ -47,12 +52,12 @@ def split_edges(
             f"cannot split {len(edges)} edges at train fraction {given}: "
             "one side would be empty"
         )
-    rng = random.Random(seed)
-    rng.shuffle(edges)
-    return EdgeSplit(
-        train=SignedGraph._trusted(g.node_count, edges[:n_train]),
-        test_edges=tuple(edges[n_train:]),
-    )
+    randrange = random.Random(seed).randrange
+    for i in range(len(edges) - 1, n_train - 1, -1):
+        j = randrange(i + 1)
+        edges[i], edges[j] = edges[j], edges[i]
+    test_edges = tuple(edges[n_train:])
+    return EdgeSplit(train=g._without(test_edges), test_edges=test_edges)
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,8 @@ def attack_eval_pipeline(
             for m in dict.fromkeys(modes)]  # a repeated mode's rows share one sweep
     split = split_edges(g, train_fraction, split_seed)
     clean_report = evaluate_on_split(split.train, split.test_edges)
-    attacked = list(dict.fromkeys(b for b in budgets if b > 0))
+    # Largest first: the sweep serves it from its run instead of a replay.
+    attacked = sorted({b for b in budgets if b > 0}, reverse=True)
     clean_d3 = None if attacked else balance_degree(split.train).d3
 
     cells: dict[tuple[str, Fraction], tuple[Fraction | None, EvalReport]] = {}

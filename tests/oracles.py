@@ -6,8 +6,9 @@ matrix powers, the two-path table intersects adjacencies per edge and the
 census lists triangles one by one, greedy selection rescans the whole
 two-path table for every pick and follows tr(A^3) by per-flip deltas in
 place of the table's census, F1 goes through explicit precision/recall,
-the attack-evaluation sweep runs every budget on its own, and the rating
-loader is the plain per-row loop with a validating graph constructor.
+the attack-evaluation sweep runs every budget on its own, the split
+shuffles every edge, and the rating loader is the plain per-row loop with
+a validating graph constructor.
 
 Three references stand in for package paths that batch their work:
 `two_path_sum` intersects two adjacencies for one pair, where the two-path
@@ -20,6 +21,7 @@ budget from one run.
 from __future__ import annotations
 
 import csv
+import random
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -33,6 +35,7 @@ from balattack import (
     STATUS_NO_CANDIDATES,
     AttackConfig,
     AttackTrace,
+    EdgeSplit,
     FlipRecord,
     LoadStats,
     ParseError,
@@ -42,7 +45,6 @@ from balattack import (
     balance_degree,
     run_balance_attack,
     run_random_attack,
-    split_edges,
 )
 from balattack.attack import as_fraction
 from balattack.prediction import evaluate_on_split
@@ -95,6 +97,12 @@ def d3_from_traces(trace_a3: int, trace_abs: int) -> Fraction | None:
     if trace_abs == 0:
         return None
     return Fraction(trace_a3 + trace_abs, 2 * trace_abs)
+
+
+def census_from_traces(trace_a3: int, trace_abs: int) -> tuple[int, int]:
+    """(balanced, unbalanced): each triangle adds 6 to tr(|A|^3) and +-6,
+    by its sign product, to tr(A^3)."""
+    return (trace_abs + trace_a3) // 12, (trace_abs - trace_a3) // 12
 
 
 def trace_a3_of(matrix: np.ndarray) -> int:
@@ -325,8 +333,9 @@ def scan_balance_attack(
 ) -> tuple[SignedGraph, AttackTrace]:
     """`run_balance_attack` with a full table scan for every selection:
     O(m) per flip in sequential mode and a full sort per batched epoch.
-    Its balance degrees come from tr(A^3), started from dense matrix
-    powers and moved by each flip's delta, not from the table's census."""
+    Its balance degrees and censuses come from tr(A^3), started from dense
+    matrix powers and moved by each flip's delta, not from the table's
+    census."""
     budget = cfg.budget_edges(g.edge_count)
     poisoned = g.copy()
     table = TwoPathTable.from_graph(poisoned)
@@ -339,8 +348,8 @@ def scan_balance_attack(
         delta = flip_delta(poisoned, u, v)
         a = table.apply_flip(u, v)
         trace_a3 += delta
-        d3 = d3_from_traces(trace_a3, trace_abs)
-        records.append(FlipRecord(len(records) + 1, u, v, a, p_sel, delta, d3))
+        census = census_from_traces(trace_a3, trace_abs)
+        records.append(FlipRecord(len(records) + 1, u, v, a, p_sel, delta, census))
 
     if trace_abs > 0 and trace_a3 == -trace_abs:
         return poisoned, AttackTrace(cfg.mode, budget, STATUS_ALREADY_MINIMAL, initial_d3)
@@ -370,6 +379,19 @@ def run_attack(g: SignedGraph, cfg: AttackConfig) -> tuple[SignedGraph, AttackTr
     return run_balance_attack(g, cfg)
 
 
+def reference_split_edges(
+    g: SignedGraph, fraction: Fraction | float | str, seed: int
+) -> EdgeSplit:
+    """`split_edges` by its definition: shuffle every edge of `g.edges()`
+    with `random.shuffle`, then build the first round(fraction*m) into the
+    train graph through the validating constructor; the rest, in order,
+    are the test edges."""
+    edges = list(g.edges())
+    n_train = round(as_fraction(fraction) * len(edges))
+    random.Random(seed).shuffle(edges)
+    return EdgeSplit(SignedGraph(g.node_count, edges[:n_train]), tuple(edges[n_train:]))
+
+
 def reference_attack_eval_pipeline(
     g: SignedGraph,
     budgets: Sequence[Fraction | float | str],
@@ -381,9 +403,10 @@ def reference_attack_eval_pipeline(
     batch_size: int = 10,
     dataset: str = "graph",
 ) -> list[PipelineRow]:
-    """`attack_eval_pipeline` with one standalone `run_attack` per nonzero
-    budget and a fresh triangle census of every row's graph."""
-    split = split_edges(g, train_fraction, split_seed)
+    """`attack_eval_pipeline` with the reference split, one standalone
+    `run_attack` per nonzero budget and a fresh triangle census of every
+    row's graph."""
+    split = reference_split_edges(g, train_fraction, split_seed)
     clean_train = split.train
     rows = []
     for mode in modes:

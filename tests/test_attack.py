@@ -28,6 +28,7 @@ from balattack import (
     write_edge_list,
 )
 from balattack import attack as attack_module
+from balattack.attack import apply_flips
 from oracles import (
     adjacency_matrix,
     run_attack,
@@ -444,6 +445,50 @@ class TestBudgetSweep:
             want_graph, want_trace = run_random_attack(g, replace(cfg, budget_fraction=f))
             assert (poisoned, trace) == (want_graph, want_trace)
 
+    def test_every_yield_is_its_own_replay(self, random_runs):
+        # Unsorted budget lists with repeats. On the 200-edge graph at seed
+        # 1 the largest budget is listed first and repeated, and the 10-edge
+        # budget runs standalone in random mode (its sample is not a prefix
+        # of the 40-edge one).
+        rng = random.Random(918)
+        cases = [(graph_with_m_edges(random.Random(41), 30, 200), 1,
+                  [Fraction(40, 200), Fraction(10, 200), Fraction(40, 200), Fraction(10, 200)])]
+        for i in range(60):
+            g = seeded_attack_graph(rng, i)
+            m = g.edge_count
+            if m:
+                fractions = [Fraction(rng.randint(1, m), m) for _ in range(rng.randint(1, 3))]
+                fractions += rng.sample(fractions, rng.randint(1, len(fractions)))
+                rng.shuffle(fractions)
+                cases.append((g, i, fractions))
+        for g, seed, fractions in cases:
+            snapshot = g.copy()
+            for mode, batch_size in self.MODES:
+                cfg = AttackConfig(budget_fraction=1, mode=mode, batch_size=batch_size, seed=seed)
+                got = list(run_attack_budgets(g, cfg, fractions))
+                assert [f for f, _, _ in got] == fractions
+                graphs = [poisoned for _, poisoned, _ in got]
+                assert len({id(x) for x in graphs + [g]}) == len(graphs) + 1, (seed, cfg)
+                for _, poisoned, trace in got:
+                    assert poisoned == apply_flips(g, trace.flipped_edges()), (seed, cfg)
+                assert g == snapshot
+        assert Fraction(10, 200) in random_runs  # the standalone path ran
+
+    def test_only_a_largest_budget_listed_first_skips_its_replay(self, monkeypatch):
+        replays: list = []
+        real = attack_module.apply_flips
+        monkeypatch.setattr(attack_module, "apply_flips",
+                            lambda g, edges: replays.append(edges) or real(g, edges))
+        # 10 and 20 of 200 edges: random.sample draws both from a set, so
+        # the random run serves both budgets too.
+        g = graph_with_m_edges(random.Random(41), 30, 200)
+        for mode, batch_size in self.MODES:
+            cfg = AttackConfig(budget_fraction=1, mode=mode, batch_size=batch_size, seed=1)
+            for fractions, want in ((["0.1", "0.05", "0.1"], 2), (["0.05", "0.1"], 2), (["0.1"], 0)):
+                replays.clear()
+                list(run_attack_budgets(g, cfg, fractions))
+                assert len(replays) == want, (mode, fractions)
+
     def test_empty_budget_list_runs_nothing(self):
         assert list(run_attack_budgets(SignedGraph(2), AttackConfig(budget_fraction=1), [])) == []
 
@@ -536,8 +581,10 @@ def test_flip_record_rejects_assignment():
     _, trace = run_balance_attack(k3(), AttackConfig(budget_fraction=1))
     rec = trace.records[0]
     with pytest.raises(AttributeError):
+        rec.census = (0, 0)
+    with pytest.raises(AttributeError):
         rec.d3 = None
-    assert rec._replace(d3=None).d3 is None and rec.d3 == 0
+    assert rec._replace(census=(0, 0)).d3 is None and rec.census == (0, 1) and rec.d3 == 0
 
 
 def test_trace_csv_format():

@@ -234,6 +234,14 @@ class TestIncrementalTable:
         t.apply_flip(0, 1)
         assert t.get(0, 1) == before
 
+    def test_non_edge_raises_and_changes_nothing(self):
+        g = SignedGraph(4, K3)
+        t = TwoPathTable.from_graph(g)
+        for u, v in ((0, 3), (3, 0), (0, 9), (1, 1)):
+            with pytest.raises(ValueError, match="not an edge"):
+                t.apply_flip(u, v)
+        assert g == SignedGraph(4, K3) and table_consistent(t)
+
     def test_check_consistent_detects_drift(self):
         g = SignedGraph(3, K3)
         t = TwoPathTable.from_graph(g)

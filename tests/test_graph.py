@@ -62,10 +62,10 @@ class TestSignedGraph:
 
     def test_flip_edge_is_involution(self):
         g = SignedGraph(3, K3_EDGES)
-        g.flip_edge(0, 1)
+        assert g.flip_edge(0, 1) == 1  # the sign before the flip
         assert g.sign(0, 1) == -1
         assert g.pos_edge_count == 2
-        g.flip_edge(1, 0)
+        assert g.flip_edge(1, 0) == -1
         assert g.sign(0, 1) == 1
         assert g.pos_edge_count == 3
 
@@ -299,6 +299,12 @@ class TestEdgeList:
             ("# nodes=2\n0 5 +1\n", "declares"),
             ("0 1 +1\n# nodes=2\n0 5 +1\n", "^line 2: header declares 2 nodes but ids reach 5$"),
             ("# nodes=3\n# nodes=9\n0 1 +1\n", r"^line 2: second nodes header \(first on line 1\)$"),
+            # str.split() and str.strip() take each of these for whitespace
+            ("0\x1c1\x1c+1\n", r"^line 1: character '\\x1c' is not allowed"),
+            ("0 1 +1\n0\u20031\u2003+1\n", r"^line 2: character '\\u2003' is not allowed"),
+            ("0\u30001\u3000+1\n", r"^line 1: character '\\u3000' is not allowed"),
+            ("0 1 +1\x85\n", r"^line 1: character '\\x85' is not allowed"),
+            ("\x0c0 1 +1\n", r"^line 1: character '\\x0c' is not allowed"),
         ],
     )
     def test_malformed_lines(self, text, message):
@@ -312,6 +318,11 @@ class TestEdgeList:
     def test_comments_and_blanks_ignored(self):
         g = load_edge_list(io.StringIO("# a comment\n\n0 1 +1\n# another\n"))
         assert g.edge_count == 1
+
+    def test_ascii_spaces_tabs_and_line_endings_pad_fields(self):
+        text = "# nodes=4 \t\r\n \t0\t 1  +1\t\r\n\t\r\n2 3\t-\r\n"
+        g = load_edge_list(io.StringIO(text))
+        assert g == SignedGraph(4, [(0, 1, 1), (2, 3, -1)])
 
     def test_writer_emits_sorted_canonical_form(self):
         g = SignedGraph(3, [(2, 1, -1), (1, 0, 1)])

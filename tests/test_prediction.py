@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from balattack import (
     attack_eval_pipeline,
     balance_degree,
     evaluate,
+    load_edge_list,
     run_balance_attack,
     split_edges,
     write_pipeline_csv,
@@ -25,8 +27,15 @@ from balattack import (
 from balattack import attack as attack_module
 from balattack import prediction
 from balattack.prediction import evaluate_on_split
-from oracles import f1_brute, reference_attack_eval_pipeline, triad_vote_predict
+from oracles import (
+    f1_brute,
+    reference_attack_eval_pipeline,
+    reference_split_edges,
+    triad_vote_predict,
+)
 from util import clustered_signed_graph, random_signed_graph
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestSplitEdges:
@@ -63,6 +72,34 @@ class TestSplitEdges:
         t = split.train
         assert t.node_count == 4
         assert t.edge_count + len(split.test_edges) == g.edge_count
+
+    @staticmethod
+    def assert_split_as_reference(g: SignedGraph, fraction: Fraction, seed: int) -> None:
+        got = split_edges(g, fraction, seed)
+        want = reference_split_edges(g, fraction, seed)
+        assert got.test_edges == want.test_edges, (g.edge_count, fraction, seed)
+        assert got.train == want.train
+        assert (got.train.edge_count, got.train.pos_edge_count) == (
+            want.train.edge_count, want.train.pos_edge_count
+        )
+
+    def test_matches_the_full_shuffle_reference(self):
+        # Only the test side is drawn; it must be random.shuffle's tail.
+        rng = random.Random(3)
+        pairs = [(u, v) for u in range(30) for v in range(u + 1, 30)]
+        for m in [*range(2, 33), *range(33, 300, 16), 300]:
+            g = SignedGraph(30, [(u, v, rng.choice((1, -1))) for u, v in rng.sample(pairs, m)])
+            for seed in range(30):
+                for n_train in (1, m - 1):
+                    self.assert_split_as_reference(g, Fraction(n_train, m), seed)
+
+    def test_matches_the_full_shuffle_reference_on_the_digest_fixture(self):
+        with open(FIXTURES / "digests" / "hk1000.edges", encoding="utf-8") as f:
+            g = load_edge_list(f)
+        m = g.edge_count
+        for fraction, seed in [(Fraction(4, 5), 0), (Fraction(4, 5), 7), (Fraction(1, m), 1),
+                               (Fraction(m - 1, m), 2), (Fraction(1, 2), 3)]:
+            self.assert_split_as_reference(g, fraction, seed)
 
     def test_too_small_to_split(self):
         g = SignedGraph(2, [(0, 1, 1)])

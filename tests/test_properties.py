@@ -2,7 +2,8 @@
 
 The evaluation sweep reports each row's d3 from its attack trace instead
 of a fresh triangle census, and serves smaller greedy budgets from a trace
-prefix. These properties check both against the direct computation, and
+prefix. These properties check both against the direct computation, check
+that the trace CSV prints each census's exact d3 rounded once, and
 check that every budget the sweep serves is a sign-only perturbation
 within that budget. The rating loader's integer fast path is checked
 against the plain per-row reference loader. The edge list round-trips,
@@ -16,14 +17,17 @@ import io
 from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balattack import (
     MODE_BALANCE_BATCHED,
     MODE_BALANCE_SEQUENTIAL,
     MODE_RANDOM,
+    STATUS_BUDGET_EXHAUSTED,
     AttackConfig,
+    AttackTrace,
+    FlipRecord,
     ParseError,
     SignedGraph,
     balance_degree,
@@ -33,6 +37,7 @@ from balattack import (
     verify_perturbation,
     write_edge_list,
 )
+from balattack.balance import census_d3
 from oracles import reference_load_rating_csv, run_attack
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -69,6 +74,23 @@ def test_every_trace_d3_equals_a_census_of_the_replayed_graph(g, cfg):
         assert rec.d3 == balance_degree(replay).d3
     assert trace.final_d3 == balance_degree(replay).d3
     assert replay == poisoned
+
+
+@PROPERTY_SETTINGS
+@given(census=st.tuples(st.integers(0, 2**80), st.integers(0, 2**80)))
+@example(census=(0, 0))  # triangle-free: no d3
+@example(census=(0, 7))
+@example(census=(2**53 + 1, 2**53 - 1))
+@example(census=(3**40, 2**64 + 1))
+@example(census=(10**30 + 1, 1))
+def test_trace_d3_text_is_the_float_of_the_exact_census_d3(census):
+    buf = io.StringIO()
+    record = FlipRecord(1, 0, 1, 1, 1, -12, census)
+    AttackTrace(MODE_RANDOM, 1, STATUS_BUDGET_EXHAUSTED, None, [record]).write_csv(buf)
+    d3 = census_d3(census)
+    assert buf.getvalue().splitlines()[2].rsplit(",", 1)[1] == (
+        "" if d3 is None else repr(float(d3))
+    )
 
 
 @PROPERTY_SETTINGS
@@ -124,6 +146,8 @@ def test_edge_list_round_trips(g, isolated):
 
 
 _SIGN_SPELLINGS = {1: ("+1", "1", "+"), -1: ("-1", "-")}
+# Whitespace that str.split() and str.strip() know but the format refuses.
+_FOREIGN_SPACES = ("\x1c", "\u2003", "\u3000", "\x85", "\x0c", "\x0b")
 # Id tokens that are not ASCII digits: ones int() reads, negative ones, and
 # plain garbage.
 _BAD_IDS = ("1_0", "\u0663", "\uff11", "+1", "-1", "-3", "x", "1.0")
@@ -135,7 +159,7 @@ def edge_lines(draw) -> tuple[str, tuple[int, int, int] | None, bool]:
     A well-formed edge line gives its pair the one sign (u + v) % 3 picks,
     so two such lines never conflict."""
     kind = draw(st.sampled_from(
-        ("edge",) * 8 + ("blank", "comment", "id", "fields", "sign", "loop")
+        ("edge",) * 8 + ("blank", "comment", "id", "fields", "sign", "loop", "space")
     ))
     u, v = draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True))
     s = 1 if (u + v) % 3 else -1
@@ -153,6 +177,12 @@ def edge_lines(draw) -> tuple[str, tuple[int, int, int] | None, bool]:
         fields = draw(st.sampled_from((fields[:2], fields + ["0"])))
     elif kind == "sign":
         fields[2] = "2"
+    elif kind == "space":
+        # a near miss: a well-formed edge or comment but for one space
+        bad = draw(st.sampled_from(_FOREIGN_SPACES))
+        line = join(fields) if draw(st.booleans()) else "# note"
+        i = draw(st.integers(0, len(line)))
+        return line[:i] + bad + line[i:], None, True
     else:
         fields[1] = fields[0]  # self-loop
     return join(fields), None, True
