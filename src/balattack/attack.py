@@ -147,9 +147,15 @@ class AttackTrace:
 def _scored_candidates(
     adj: list[dict[int, int]], table: TwoPathTable
 ) -> list[tuple[int, int, int]]:
-    """(-a_uv * p_uv, u, v) for every edge whose flip strictly lowers
-    tr(A^3), i.e. a_uv * p_uv > 0 (which excludes p_uv = 0)."""
-    return [(-s, u, v) for (u, v), p in table.items() if (s := adj[u][v] * p) > 0]
+    """(-a_uv * p_uv, u, v) with u < v for every edge whose flip strictly
+    lowers tr(A^3), i.e. a_uv * p_uv > 0 (which excludes p_uv = 0). Read
+    from the table's rows, in no particular order."""
+    return [
+        (-s, u, v) if u < v else (-s, v, u)
+        for u, row in enumerate(table.rows())
+        for v, p in row.items()
+        if (s := adj[u][v] * p) > 0
+    ]
 
 
 def select_candidates(g: SignedGraph, table: TwoPathTable) -> set[tuple[int, int]]:

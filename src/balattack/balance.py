@@ -40,7 +40,7 @@ class BalanceReport:
 
 
 def count_signed_triangles(
-    g: SignedGraph, fill: dict[tuple[int, int], int] | None = None
+    g: SignedGraph, fill: list[dict[int, int]] | None = None
 ) -> tuple[int, int]:
     """Exact (balanced, unbalanced) triangle counts.
 
@@ -49,15 +49,21 @@ def count_signed_triangles(
     edges point up a (degree, id) rank, so every triangle is met once, at
     its lowest corner, and no node has more than O(sqrt(m)) out-edges.
 
-    Given `fill`, a dict holding every edge (min, max) of g, the same walk
-    adds each triangle's two-path a_xz*a_zy into the entry of its edge
-    {x,y}, for all three edges; entries that start at 0 end at (A^2)_xy.
+    Given `fill`, an empty list, the walk appends one dict per node u, in
+    id order, from each of u's forward neighbours v (ranked above u) to
+    (A^2)_uv: every edge once, in the orientation the walk met it. All
+    three edges of a triangle point forward from its lower corners, so
+    each triangle adds its two-paths a_xz*a_zy into those dicts in place.
     """
     adj = g.adjacencies()
     pos = [0] * len(adj)
     for i, u in enumerate(sorted(range(len(adj)), key=lambda x: len(adj[x]))):
         pos[u] = i
-    fwd = [{v for v in d if pos[v] > pos[u]} for u, d in enumerate(adj)]
+    if fill is None:
+        fwd = [{v for v in d if pos[v] > pos[u]} for u, d in enumerate(adj)]
+    else:  # the dicts' own keys are the forward sets
+        fill.extend({v: 0 for v in d if pos[v] > pos[u]} for u, d in enumerate(adj))
+        fwd = [row.keys() for row in fill]
     triangles = signed = 0  # signed: balanced - unbalanced
     for u, fwd_u in enumerate(fwd):
         adj_u = adj[u]
@@ -72,13 +78,14 @@ def count_signed_triangles(
                 for w in common:
                     s += adj_u[w] * adj_v[w]
             else:
+                p_u, p_v = fill[u], fill[v]
                 for w in common:
                     a_uw = adj_u[w]
                     a_vw = adj_v[w]
                     s += a_uw * a_vw
-                    fill[(u, w) if u < w else (w, u)] += a_uv * a_vw
-                    fill[(v, w) if v < w else (w, v)] += a_uv * a_uw
-                fill[(u, v) if u < v else (v, u)] += s
+                    p_u[w] += a_uv * a_vw
+                    p_v[w] += a_uv * a_uw
+                p_u[v] += s
             triangles += len(common)
             signed += a_uv * s
     balanced = (triangles + signed) // 2
@@ -117,45 +124,72 @@ class TwoPathTable:
 
     This is the quantity the greedy attack ranks by, and it can be
     maintained under a sign flip in O(deg(u)+deg(v)) instead of being
-    recomputed. Keys are ordered pairs (min, max), in `g.edges()` order.
-    The table tracks one specific graph object; `apply_flip` mutates both
-    in lock-step and keeps `census` exact.
+    recomputed. Each edge is stored once, in the triangle walk's rank
+    orientation: `rows()[u][v]` for the end v ranked above u (see
+    `count_signed_triangles`). `pairs()` and `items()` give every edge as
+    (min, max) in `g.edges()` order; that list is built on first use and
+    shared by copies, since the edge support never changes. The table
+    tracks one specific graph object; `apply_flip` mutates both in
+    lock-step and keeps `census` exact.
     """
 
-    __slots__ = ("graph", "_p", "census")
+    __slots__ = ("graph", "_fwd", "_pairs", "census")
 
     def __init__(
-        self, graph: SignedGraph, table: dict[tuple[int, int], int], census: tuple[int, int]
+        self,
+        graph: SignedGraph,
+        rows: list[dict[int, int]],
+        census: tuple[int, int],
+        pairs: list[tuple[int, int]] | None = None,
     ):
         self.graph = graph
-        self._p = table
+        self._fwd = rows
+        self._pairs = pairs
         self.census = census
 
     @classmethod
     def from_graph(cls, g: SignedGraph) -> "TwoPathTable":
         """Build the table and the census in one triangle walk: every
         two-path of an edge closes a triangle through it."""
-        p = dict.fromkeys([(u, v) for u, v, _s in g.edges()], 0)
-        census = count_signed_triangles(g, fill=p)
-        return cls(g, p, census)
+        rows: list[dict[int, int]] = []
+        census = count_signed_triangles(g, fill=rows)
+        return cls(g, rows, census)
 
     def copy(self) -> "TwoPathTable":
         """An independent table that tracks a copy of the graph."""
-        return TwoPathTable(self.graph.copy(), dict(self._p), self.census)
+        rows = list(map(dict.copy, self._fwd))
+        return TwoPathTable(self.graph.copy(), rows, self.census, self._pairs)
 
     def get(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        return self._p[key]
+        """p_uv of edge {u,v}, in either order; KeyError for a non-edge."""
+        fwd = self._fwd
+        if u < 0 or v < 0:  # a list index would wrap around
+            raise KeyError((u, v))
+        try:
+            row = fwd[u]
+            return row[v] if v in row else fwd[v][u]
+        except IndexError:
+            raise KeyError((u, v)) from None
+
+    def rows(self) -> list[dict[int, int]]:
+        """Every node's {forward neighbour: p} dict, indexed by id. The
+        dicts are the table's own, so flips show in them. Treat as
+        read-only."""
+        return self._fwd
 
     def pairs(self) -> list[tuple[int, int]]:
         """Every edge as (min, max), in `g.edges()` order."""
-        return list(self._p)
+        if self._pairs is None:
+            self._pairs = [(u, v) for u, v, _s in self.graph.edges()]
+        return list(self._pairs)
 
     def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        return iter(self._p.items())
+        """((min, max), p) for every edge, in `g.edges()` order."""
+        get = self.get
+        return (((u, v), get(u, v)) for u, v in self.pairs())
 
     def __len__(self) -> int:
-        return len(self._p)
+        return self.graph.edge_count
 
     def apply_flip(self, u: int, v: int) -> int:
         """Flip edge {u,v} in the tracked graph and patch the table.
@@ -169,15 +203,23 @@ class TwoPathTable:
         """
         g = self.graph
         a = g.flip_edge(u, v)
-        p = self._p
-        d = a * p[(u, v) if u < v else (v, u)]
+        fwd = self._fwd
+        p_u, p_v = fwd[u], fwd[v]
+        d = a * (p_u[v] if v in p_u else p_v[u])
         self.census = (self.census[0] - d, self.census[1] + d)
         adj_u = g.adjacency(u)
         adj_v = g.adjacency(v)
         step = 2 * a
         for w in adj_u.keys() & adj_v.keys():
+            p_w = fwd[w]
             # paths w - u - v: hop a_uv changed by -2a, scaled by a_wu
-            p[(w, v) if w < v else (v, w)] -= step * adj_u[w]
+            if v in p_w:
+                p_w[v] -= step * adj_u[w]
+            else:
+                p_v[w] -= step * adj_u[w]
             # paths u - v - w, symmetric
-            p[(w, u) if w < u else (u, w)] -= step * adj_v[w]
+            if u in p_w:
+                p_w[u] -= step * adj_v[w]
+            else:
+                p_u[w] -= step * adj_v[w]
         return a

@@ -95,20 +95,27 @@ class SignedGraph:
             signed += s
         self._m, self._pos = m, (m + signed) // 2
 
+    @classmethod
+    def _adopt(
+        cls, adj: list[dict[int, int]], m: int, pos: int, labels: list[str] | None = None
+    ) -> "SignedGraph":
+        """A graph that takes over `adj`, a valid symmetric adjacency with
+        m edges, pos of them positive. Checks nothing."""
+        g = cls.__new__(cls)
+        g._adj, g._m, g._pos, g.node_labels = adj, m, pos, labels
+        return g
+
     def _without(self, edges: Iterable[tuple[int, int, int]]) -> "SignedGraph":
         """A copy without the listed edges, given as `edges()` yields them
         and each at most once; their signs are read from this graph. The
         copy carries no node labels."""
-        g = SignedGraph.__new__(SignedGraph)
-        g._adj = adj = [dict(d) for d in self._adj]
-        g.node_labels = None
+        adj = [dict(d) for d in self._adj]
         m, pos = self._m, self._pos
         for u, v, _s in edges:
             del adj[v][u]
             m -= 1
             pos -= adj[u].pop(v) > 0
-        g._m, g._pos = m, pos
-        return g
+        return SignedGraph._adopt(adj, m, pos)
 
     @property
     def node_count(self) -> int:
@@ -174,12 +181,8 @@ class SignedGraph:
         return str(u)
 
     def copy(self) -> "SignedGraph":
-        g = SignedGraph.__new__(SignedGraph)
-        g._adj = [dict(d) for d in self._adj]
-        g._m = self._m
-        g._pos = self._pos
-        g.node_labels = list(self.node_labels) if self.node_labels is not None else None
-        return g
+        labels = list(self.node_labels) if self.node_labels is not None else None
+        return SignedGraph._adopt([dict(d) for d in self._adj], self._m, self._pos, labels)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SignedGraph):
@@ -255,7 +258,8 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
     on input with no data rows.
     """
     sums: dict[tuple[str, str], int | Fraction] = {}
-    rows = self_loops = zero_ratings = merged = 0
+    get = sums.get
+    rows = self_loops = zero_ratings = 0
     header_skipped = False
     for lineno, row in enumerate(csv.reader(stream), 1):
         try:
@@ -283,26 +287,32 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
             zero_ratings += 1
             continue
         key = (src, dst) if src <= dst else (dst, src)
-        prev = sums.get(key)
-        if prev is None:
-            sums[key] = rating
-        else:
-            sums[key] = prev + rating
-            merged += 1
+        sums[key] = get(key, 0) + rating
     if rows == 0:
         raise ParseError("empty input: no data rows")
 
     # Distinct unordered label pairs map to distinct id pairs: no checks needed.
     ids: dict[str, int] = {}
-    edges: list[tuple[int, int, int]] = []
+    adj: list[dict[int, int]] = []
+    m = pos = 0
     for (a, b), total in sums.items():
         if total:
-            edges.append((ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)),
-                          1 if total > 0 else -1))
-    g = SignedGraph._trusted(len(ids), edges, list(ids))
+            u = ids.get(a)
+            if u is None:
+                u = ids[a] = len(adj)
+                adj.append({})
+            v = ids.get(b)
+            if v is None:
+                v = ids[b] = len(adj)
+                adj.append({})
+            adj[u][v] = adj[v][u] = s = 1 if total > 0 else -1
+            m += 1
+            pos += s > 0
+    g = SignedGraph._adopt(adj, m, pos, list(ids))
+    merged = rows - self_loops - zero_ratings - len(sums)  # each other row met its pair
     return g, LoadStats(
-        rows, header_skipped, zero_ratings, self_loops, merged, len(sums) - len(edges),
-        g.node_count, g.edge_count, g.pos_edge_count, g.neg_edge_count,
+        rows, header_skipped, zero_ratings, self_loops, merged, len(sums) - m,
+        g.node_count, m, pos, m - pos,
     )
 
 

@@ -10,11 +10,13 @@ from balattack import (
     TwoPathTable,
     balance_degree,
     count_signed_triangles,
+    select_candidates,
 )
 from oracles import (
     adjacency_matrix,
     census_by_listing,
     d3_from_traces,
+    epoch_ranking_scan,
     flip_delta,
     table_consistent,
     trace_a3_of,
@@ -136,6 +138,16 @@ class TestTwoPaths:
         with pytest.raises(KeyError):
             t.get(0, 3)
 
+    def test_every_non_edge_lookup_is_a_key_error(self):
+        # Node 4's row holds node 2, so get(-1, 2) would read edge {4, 2}
+        # if the id wrapped around the list of rows.
+        g = SignedGraph(5, [*K3, (2, 3, 1), (2, 4, -1), (3, 4, 1), (1, 4, 1)])
+        t = TwoPathTable.from_graph(g)
+        assert 2 in t.rows()[4]
+        for u, v in ((0, 3), (3, 0), (0, 5), (5, 0), (-1, 2), (2, -1), (-1, -3), (1, 1), (7, 9)):
+            with pytest.raises(KeyError):
+                t.get(u, v)
+
 
 class TestTrianglePass:
     """The one-walk table and census against per-edge intersection and
@@ -189,6 +201,53 @@ class TestTrianglePass:
             assert t.census == census_by_listing(g)
         twin = t.copy()
         assert twin.census == t.census and table_consistent(twin)
+
+
+class TestRankOrientedRows:
+    """The table's storage: one dict per node over its forward neighbours,
+    patched by flips on a table and on copies of it."""
+
+    @staticmethod
+    def check(t, edges):
+        g = t.graph
+        rank = {u: (g.degree(u), u) for u in range(g.node_count)}
+        assert all(rank[u] < rank[v] for u, row in enumerate(t.rows()) for v in row)
+        assert sum(map(len, t.rows())) == len(t) == g.edge_count
+        assert t.pairs() == edges
+        assert table_consistent(t)
+        scan = {(u, v) for u, v, _p in epoch_ranking_scan(g, t)}
+        assert select_candidates(g, t) == scan
+
+    def test_random_flips_on_tables_and_their_copies(self):
+        rng = random.Random(67)
+        graphs = 0
+        while graphs < 110:
+            if graphs % 2:
+                g = random_signed_graph(rng, rng.randint(2, 22), rng.uniform(0.1, 0.7),
+                                        neg_frac=rng.random())
+            else:
+                g = clustered_signed_graph(rng, communities=rng.randint(1, 3),
+                                           size=rng.randint(2, 7), noise=rng.random() / 2)
+            if g.edge_count == 0:
+                continue
+            graphs += 1
+            edges = [(u, v) for u, v, _ in g.edges()]
+            tables = [TwoPathTable.from_graph(g)]
+            self.check(tables[0], edges)
+            for _ in range(rng.randint(1, 10)):
+                if rng.random() < 0.3:
+                    tables.append(rng.choice(tables).copy())
+                rng.choice(tables).apply_flip(*rng.choice(edges))
+                for t in tables:
+                    self.check(t, edges)
+                rows = [id(row) for t in tables for row in t.rows()]
+                assert len(set(rows)) == len(rows)  # no two tables share a row
+                assert len({id(t.graph) for t in tables}) == len(tables)
+
+    def test_pairs_are_a_fresh_list_each_call(self):
+        t = TwoPathTable.from_graph(SignedGraph(3, K3))
+        t.pairs().clear()
+        assert t.pairs() == t.copy().pairs() == [(0, 1), (0, 2), (1, 2)]
 
 
 class TestFlipDelta:

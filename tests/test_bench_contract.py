@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 
 import balattack
-from balattack import cli
+from balattack import SignedGraph, balance, cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -45,3 +45,20 @@ def test_every_package_name_the_bench_calls_exists():
     for name in sorted(names):
         assert hasattr(balattack, name) or importlib.util.find_spec(f"balattack.{name}"), name
     assert callable(cli.main)  # the bench's entry runs balattack.cli.main
+
+
+def test_a_table_build_runs_the_census_once_through_the_module_global(monkeypatch):
+    # Every workload requires the `balance.census` span, which wraps the
+    # module global: a table build that inlined the walk would not fire it.
+    calls = []
+    census = balance.count_signed_triangles
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return census(*args, **kwargs)
+
+    monkeypatch.setattr(balance, "count_signed_triangles", counting)
+    g = SignedGraph(4, [(0, 1, 1), (0, 2, 1), (1, 2, -1), (2, 3, 1), (1, 3, 1)])
+    table = balance.TwoPathTable.from_graph(g)
+    assert len(calls) == 1 and calls[0][0] is g
+    assert table.census == census(g) == (0, 2)
