@@ -337,21 +337,19 @@ def verify_perturbation(
         raise ValueError(
             f"node sets differ: {original.node_count} vs {attacked.node_count} nodes"
         )
-    support_orig = {(u, v) for u, v, _ in original.edges()}
-    support_att = {(u, v) for u, v, _ in attacked.edges()}
-    support_ok = support_orig == support_att
+    adj_a = attacked.adjacencies()
+    missing = extra = 0  # each edge is met at both of its ends
+    for nbrs_o, nbrs_a in zip(original.adjacencies(), adj_a):
+        if nbrs_o.keys() != nbrs_a.keys():
+            missing += len(nbrs_o.keys() - nbrs_a.keys())
+            extra += len(nbrs_a.keys() - nbrs_o.keys())
+    support_ok = not (missing or extra)
     if support_ok:
-        support_detail = f"{len(support_orig)} edges on both sides"
+        support_detail = f"{original.edge_count} edges on both sides"
     else:
-        missing = len(support_orig - support_att)
-        extra = len(support_att - support_orig)
-        support_detail = f"{missing} edges missing, {extra} edges added"
+        support_detail = f"{missing // 2} edges missing, {extra // 2} edges added"
 
-    changed = tuple(
-        (u, v)
-        for u, v, s in original.edges()
-        if attacked.has_edge(u, v) and attacked.sign(u, v) != s
-    )
+    changed = tuple((u, v) for u, v, s in original.edges() if adj_a[u].get(v, s) != s)
     budget_ok = support_ok and len(changed) <= budget
     degree_ok = original.degree_sequence() == attacked.degree_sequence()
 

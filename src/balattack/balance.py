@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .graph import SignedGraph
 
@@ -126,11 +125,11 @@ class TwoPathTable:
     maintained under a sign flip in O(deg(u)+deg(v)) instead of being
     recomputed. Each edge is stored once, in the triangle walk's rank
     orientation: `rows()[u][v]` for the end v ranked above u (see
-    `count_signed_triangles`). `pairs()` and `items()` give every edge as
-    (min, max) in `g.edges()` order; that list is built on first use and
-    shared by copies, since the edge support never changes. The table
-    tracks one specific graph object; `apply_flip` mutates both in
-    lock-step and keeps `census` exact.
+    `count_signed_triangles`). `pairs()` gives every edge as (min, max)
+    in `g.edges()` order; that list is built on first use and shared by
+    copies, since the edge support never changes. The table tracks one
+    specific graph object; `apply_flip` mutates both in lock-step and
+    keeps `census` exact.
     """
 
     __slots__ = ("graph", "_fwd", "_pairs", "census")
@@ -182,11 +181,6 @@ class TwoPathTable:
         if self._pairs is None:
             self._pairs = [(u, v) for u, v, _s in self.graph.edges()]
         return list(self._pairs)
-
-    def items(self) -> Iterator[tuple[tuple[int, int], int]]:
-        """((min, max), p) for every edge, in `g.edges()` order."""
-        get = self.get
-        return (((u, v), get(u, v)) for u, v in self.pairs())
 
     def __len__(self) -> int:
         return self.graph.edge_count

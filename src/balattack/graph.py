@@ -19,6 +19,11 @@ _DECIMAL_EXPONENT = re.compile(
 # CPython's default int-string digit limit (sys.get_int_max_str_digits,
 # which 3.10.6 and older lack and which can be switched off).
 MAX_RATING_EXPONENT = 4300
+# An edge list's header or largest id sets its node count, one dict each, so
+# a few digits could ask for any amount of memory. Bounding the nodes by the
+# distinct edges m, n <= MAX_NODES_PER_EDGE * (m + 1), bounds the memory by
+# the file's size; the writer refuses a graph past it, so every file loads.
+MAX_NODES_PER_EDGE = 64
 
 
 class ParseError(ValueError):
@@ -56,13 +61,14 @@ class SignedGraph:
     ):
         """Check each edge in turn (ids in range, no self-loop, sign +1 or
         -1, no conflict with an earlier sign for its pair; ValueError on the
-        first failure), then fill as `_trusted` does. A pair repeated with
-        the same sign counts once."""
+        first failure) and fill the adjacency as it goes. A pair repeated
+        with the same sign counts once."""
         if node_count < 0:
             raise ValueError("node_count must be >= 0")
         if node_labels is not None and len(node_labels) != node_count:
             raise ValueError("node_labels length must equal node_count")
-        checked: dict[tuple[int, int], int] = {}
+        adj: list[dict[int, int]] = [{} for _ in range(node_count)]
+        m = pos = 0
         for u, v, s in edges:
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValueError(f"node id out of range: ({u}, {v})")
@@ -70,30 +76,13 @@ class SignedGraph:
                 raise ValueError(f"self-loop not allowed: {u}")
             if s != 1 and s != -1:
                 raise ValueError(f"edge sign must be +1 or -1, got {s}")
-            if checked.setdefault((u, v) if u < v else (v, u), s) != s:
+            if adj[u].setdefault(v, s) != s:
                 raise ValueError(f"conflicting signs for edge ({u}, {v})")
-        self._fill(node_count, [(u, v, s) for (u, v), s in checked.items()], node_labels)
-
-    @classmethod
-    def _trusted(
-        cls, n: int, edges: Iterable[tuple[int, int, int]], labels: list[str] | None = None
-    ) -> "SignedGraph":
-        """A graph from edges known to be valid: ids in range, no self-loops,
-        signs +1/-1 and no pair twice. Skips the public constructor's checks."""
-        g = cls.__new__(cls)
-        g._fill(n, edges, labels)
-        return g
-
-    def _fill(self, n: int, edges: Iterable[tuple[int, int, int]], labels: list[str] | None):
-        """Set every slot from valid edges, as `_trusted` describes them."""
-        self._adj = adj = [{} for _ in range(n)]
-        self.node_labels = labels
-        m = signed = 0
-        for u, v, s in edges:
-            adj[u][v] = adj[v][u] = s
-            m += 1
-            signed += s
-        self._m, self._pos = m, (m + signed) // 2
+            if u not in adj[v]:
+                adj[v][u] = s
+                m += 1
+                pos += s > 0
+        self._adj, self._m, self._pos, self.node_labels = adj, m, pos, node_labels
 
     @classmethod
     def _adopt(
@@ -133,9 +122,6 @@ class SignedGraph:
     def neg_edge_count(self) -> int:
         return self._m - self._pos
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < len(self._adj) and v in self._adj[u]
-
     def sign(self, u: int, v: int) -> int:
         """Sign of edge {u,v}; raises ValueError if the pair is not an edge."""
         if not (0 <= u < len(self._adj)) or v not in self._adj[u]:
@@ -152,9 +138,6 @@ class SignedGraph:
         """Every node's neighbor -> sign mapping, indexed by id. The dicts
         are the graph's own, so flips show in them. Treat as read-only."""
         return list(self._adj)
-
-    def degree(self, u: int) -> int:
-        return len(self.adjacency(u))
 
     def degree_sequence(self) -> list[int]:
         """Unsigned degrees, ascending. Invariant under any sign flips."""
@@ -174,11 +157,6 @@ class SignedGraph:
             for v in sorted(nbrs):
                 if v > u:
                     yield u, v, nbrs[v]
-
-    def label(self, u: int) -> str:
-        if self.node_labels is not None:
-            return self.node_labels[u]
-        return str(u)
 
     def copy(self) -> "SignedGraph":
         labels = list(self.node_labels) if self.node_labels is not None else None
@@ -319,17 +297,20 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
 def load_edge_list(stream: Iterable[str]) -> SignedGraph:
     """Load the canonical edge-list format: `u v s` lines, s in {+1,-1}
     (also accepted: bare `+`/`-`), plus an optional `# nodes=<n>` header.
-    Node ids and the header's n are ASCII digits, nothing else. Fields are
-    separated by ASCII spaces and tabs, and only those and a line ending
-    (`\n`, `\r\n`) may pad a line: any other whitespace or control
-    character, in a comment too, is a ParseError.
+    Node ids and the header's n are ASCII digits, nothing else, and no
+    more of them than CPython converts to an int. Fields are separated by
+    ASCII spaces and tabs, and only those and a line ending (`\n`, `\r\n`)
+    may pad a line: any other whitespace or control character, in a comment
+    too, is a ParseError.
 
     Duplicate pairs with the same sign are tolerated; a conflicting
-    duplicate, a self-loop, an invalid sign, a second `# nodes=` header or
-    a header below the largest id is a ParseError.
+    duplicate, a self-loop, an invalid sign, a second `# nodes=` header, a
+    header below the largest id, or more than MAX_NODES_PER_EDGE * (m + 1)
+    nodes for m distinct edges is a ParseError. The last names the header's
+    line, or else the largest id's, and comes before any node is allocated.
     """
     declared_n: int | None = None
-    header_line = 0
+    header_line = max_line = 0
     edges: dict[tuple[int, int], int] = {}
     max_id = -1
     for lineno, raw in enumerate(stream, 1):
@@ -342,13 +323,17 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
             raise ParseError(f"character {bad!r} is not allowed: fields are separated "
                              "by ASCII spaces and tabs", lineno)
         if line.startswith("#"):
-            m = _NODES_HEADER.match(line)
-            if m:
-                if not m.group(1).isascii():
-                    raise ParseError(f"non-integer node count {m.group(1)!r}", lineno)
+            header = _NODES_HEADER.match(line)
+            if header:
+                digits = header.group(1)
+                if not digits.isascii():
+                    raise ParseError(f"non-integer node count {digits!r}", lineno)
                 if declared_n is not None:
                     raise ParseError(f"second nodes header (first on line {header_line})", lineno)
-                declared_n, header_line = int(m.group(1)), lineno
+                try:
+                    declared_n, header_line = int(digits), lineno
+                except ValueError:  # past CPython's int-string digit limit
+                    raise ParseError("node count has too many digits", lineno) from None
             continue
         parts = line.split()
         if len(parts) != 3:
@@ -359,7 +344,10 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
             negative = any(t[:1] == "-" and t[1:].isdigit() and t.isascii() for t in (a, b))
             raise ParseError("node ids must be non-negative" if negative
                              else f"non-integer node id in {line!r}", lineno)
-        u, v = int(a), int(b)
+        try:
+            u, v = int(a), int(b)
+        except ValueError:  # past CPython's int-string digit limit
+            raise ParseError("node id has too many digits", lineno) from None
         if u == v:
             raise ParseError(f"self-loop on node {u}", lineno)
         s = _SIGN_TOKENS.get(sign)
@@ -369,16 +357,28 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
         if edges.setdefault(key, s) != s:
             raise ParseError(f"conflicting duplicate for edge {key}", lineno)
         if v > max_id or u > max_id:
-            max_id = max(u, v)
+            max_id, max_line = max(u, v), lineno
     if declared_n is not None and declared_n <= max_id:
         raise ParseError(f"header declares {declared_n} nodes but ids reach {max_id}", header_line)
     n = max_id + 1 if declared_n is None else declared_n
-    return SignedGraph._trusted(n, [(u, v, s) for (u, v), s in edges.items()])
+    m = len(edges)
+    if n > MAX_NODES_PER_EDGE * (m + 1):
+        raise ParseError(f"{n} nodes for {m} edges: at most {MAX_NODES_PER_EDGE} per edge, "
+                         f"plus {MAX_NODES_PER_EDGE}", header_line or max_line)
+    adj: list[dict[int, int]] = [{} for _ in range(n)]
+    for (u, v), s in edges.items():
+        adj[u][v] = adj[v][u] = s
+    return SignedGraph._adopt(adj, m, (m + sum(edges.values())) // 2)
 
 
 def write_edge_list(g: SignedGraph, stream: IO[str]) -> None:
     """Write the canonical edge list: node-count header, then `u v s` with
-    u < v in sorted order. Round-trips bit-exactly through load_edge_list."""
+    u < v in sorted order. Round-trips bit-exactly through load_edge_list.
+    ValueError, before anything is written, for a graph that the loader
+    would refuse: more than MAX_NODES_PER_EDGE * (m + 1) nodes."""
+    if g.node_count > MAX_NODES_PER_EDGE * (g.edge_count + 1):
+        raise ValueError(f"{g.node_count} nodes for {g.edge_count} edges: an edge list "
+                         f"allows at most {MAX_NODES_PER_EDGE} per edge, plus {MAX_NODES_PER_EDGE}")
     stream.write(f"# nodes={g.node_count}\n")
     for u, v, s in g.edges():
         stream.write(f"{u} {v} {'+1' if s > 0 else '-1'}\n")

@@ -89,7 +89,12 @@ def describe(name: str, walls: list[float], rss: list[float]) -> str:
             f"child ru_maxrss_mb median={statistics.median(rss):.1f} max={max(rss):.1f}")
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_options(argv: list[str] | None = None) -> argparse.Namespace:
+    """The options of any documented form, the trees resolved. The parse is
+    intermixed: plain `parse_args` would fill `old new args` at the first
+    run of positionals, before the options after them, and then refuse the
+    CLI arguments after `--`. Exits through the parser's usage error on a
+    bad form or a root without `src/balattack`."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
@@ -97,15 +102,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--bench", help="a bench/run.py workload, e.g. eval-random")
     parser.add_argument("--seed", type=int, default=1, help="the --bench input's seed")
     parser.add_argument("args", nargs="*", help="CLI arguments, after --")
-    opts = parser.parse_args(argv)
+    opts = parser.parse_intermixed_args(argv)
     if (opts.bench is None) == (not opts.args):
         parser.error("give either --bench or the CLI arguments")
     if opts.runs < 1:
         parser.error("--runs must be >= 1")
-    trees = {"old": opts.old.resolve(), "new": opts.new.resolve()}
-    for root in trees.values():
+    opts.old, opts.new = opts.old.resolve(), opts.new.resolve()
+    for root in (opts.old, opts.new):
         if not (root / "src" / "balattack").is_dir():
             parser.error(f"no src/balattack under {root}")
+    return opts
+
+
+def main(argv: list[str] | None = None) -> int:
+    opts = parse_options(argv)
+    trees = {"old": opts.old, "new": opts.new}
 
     with tempfile.TemporaryDirectory(prefix="child_usage-") as tmp:
         work = Path(tmp)

@@ -140,12 +140,18 @@ def two_path_table_per_edge(g: SignedGraph) -> dict[tuple[int, int], int]:
     return {(u, v): two_path_sum(g, u, v) for u, v, _ in g.edges()}
 
 
+def table_items(table: TwoPathTable) -> list[tuple[tuple[int, int], int]]:
+    """((min, max), p) for every edge of the table's graph, in `g.edges()`
+    order, read one entry at a time through `get`."""
+    return [((u, v), table.get(u, v)) for u, v in table.pairs()]
+
+
 def table_consistent(table: TwoPathTable) -> bool:
     """True iff every entry and the census of `table` equal a fresh
     recomputation on its graph."""
     g = table.graph
     return (
-        dict(table.items()) == two_path_table_per_edge(g)
+        dict(table_items(table)) == two_path_table_per_edge(g)
         and table.census == census_by_listing(g)
     )
 
@@ -153,7 +159,7 @@ def table_consistent(table: TwoPathTable) -> bool:
 def _forward_neighbours(g: SignedGraph) -> list[list[int]]:
     # Rank nodes by (degree, id); keep only edges pointing up-rank.
     n = g.node_count
-    rank = sorted(range(n), key=lambda u: (g.degree(u), u))
+    rank = sorted(range(n), key=lambda u: (len(g.adjacency(u)), u))
     pos = [0] * n
     for i, u in enumerate(rank):
         pos[u] = i
@@ -305,7 +311,7 @@ def best_candidate_scan(g: SignedGraph, table: TwoPathTable) -> tuple[int, int, 
     adj = [g.adjacency(x) for x in range(g.node_count)]
     best_score = 0
     best: tuple[int, int] | None = None
-    for (u, v), p in table.items():
+    for (u, v), p in table_items(table):
         score = adj[u][v] * p
         if score > best_score:
             best_score = score
@@ -322,7 +328,7 @@ def epoch_ranking_scan(g: SignedGraph, table: TwoPathTable) -> list[tuple[int, i
     ties by (u, v)."""
     adj = [g.adjacency(x) for x in range(g.node_count)]
     cands = [
-        (u, v, p) for (u, v), p in table.items() if p != 0 and adj[u][v] * p > 0
+        (u, v, p) for (u, v), p in table_items(table) if p != 0 and adj[u][v] * p > 0
     ]
     cands.sort(key=lambda t: (-abs(t[2]), t[0], t[1]))
     return cands

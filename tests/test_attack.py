@@ -33,6 +33,7 @@ from oracles import (
     adjacency_matrix,
     run_attack,
     scan_balance_attack,
+    table_items,
     trace_a3_of,
     traces_cubed,
 )
@@ -114,7 +115,7 @@ class TestSelectCandidates:
             t = TwoPathTable.from_graph(g)
             expected = {
                 (u, v)
-                for (u, v), p in t.items()
+                for (u, v), p in table_items(t)
                 if p != 0 and g.sign(u, v) * p > 0
             }
             assert select_candidates(g, t) == expected
@@ -189,7 +190,7 @@ class TestSequential:
                 t = TwoPathTable.from_graph(h)
                 scores = {
                     (u, v): h.sign(u, v) * p
-                    for (u, v), p in t.items()
+                    for (u, v), p in table_items(t)
                     if h.sign(u, v) * p > 0
                 }
                 best = max(scores.values())
@@ -234,7 +235,7 @@ class TestBatched:
         g = clustered_signed_graph(rng, communities=2, size=9, noise=0.1)
         t = TwoPathTable.from_graph(g)
         ranking = sorted(
-            ((u, v, p) for (u, v), p in t.items() if p != 0 and g.sign(u, v) * p > 0),
+            ((u, v, p) for (u, v), p in table_items(t) if p != 0 and g.sign(u, v) * p > 0),
             key=lambda e: (-abs(e[2]), e[0], e[1]),
         )
         k = 5
@@ -574,6 +575,49 @@ class TestVerifyPerturbation:
     def test_node_set_mismatch_raises(self):
         with pytest.raises(ValueError, match="node sets"):
             verify_perturbation(k3(), SignedGraph(4, K3), 1)
+
+    def test_support_detail_counts_missing_and_added_edges(self):
+        g = SignedGraph(4, K3)
+        # {1,2} removed, {1,3} added, {0,1} flipped
+        h = SignedGraph(4, [(0, 1, -1), (0, 2, 1), (1, 3, 1)])
+        rep = verify_perturbation(g, h, 3)
+        assert str(rep) == (
+            "[FAIL] edge_support: 1 edges missing, 1 edges added\n"
+            "[FAIL] sign_budget: 1 sign differences, budget 3\n"
+            "[FAIL] degree_sequence: degree sequences differ"
+        )
+        assert rep.changed_edges == ((0, 1),)
+        assert str(verify_perturbation(g, g.copy(), 0)).startswith(
+            "[PASS] edge_support: 3 edges on both sides\n"
+        )
+
+    def test_matches_support_sets_on_seeded_graphs(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            g = random_signed_graph(rng, rng.randint(2, 14), 0.4)
+            edges = list(g.edges())
+            kept = [e for e in edges if rng.random() < 0.8]
+            fresh = [(u, v, rng.choice((1, -1))) for u in range(g.node_count)
+                     for v in range(u + 1, g.node_count)
+                     if v not in g.adjacency(u) and rng.random() < 0.1]
+            if rng.random() < 0.5:
+                kept, fresh = edges, []
+            h = SignedGraph(g.node_count, [(u, v, s if rng.random() < 0.7 else -s)
+                                           for u, v, s in kept + fresh])
+            support_g = {(u, v) for u, v, _ in edges}
+            support_h = {(u, v) for u, v, _ in h.edges()}
+            budget = rng.randint(0, len(edges))
+            rep = verify_perturbation(g, h, budget)
+            assert rep.changed_edges == tuple(
+                (u, v) for u, v, s in edges if (u, v) in support_h and h.sign(u, v) != s
+            )
+            detail = dict((c.name, c.detail) for c in rep.checks)["edge_support"]
+            if support_g == support_h:
+                assert detail == f"{len(edges)} edges on both sides"
+            else:
+                assert detail == (f"{len(support_g - support_h)} edges missing, "
+                                  f"{len(support_h - support_g)} edges added")
+            assert rep.ok == (support_g == support_h and len(rep.changed_edges) <= budget)
 
 
 def test_flip_record_rejects_assignment():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from balattack import (
     load_rating_csv,
     write_edge_list,
 )
+from balattack.graph import MAX_NODES_PER_EDGE
 from util import random_signed_graph
 
 K3_EDGES = [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
@@ -26,8 +28,8 @@ class TestSignedGraph:
         assert g.neg_edge_count == 1
         assert g.sign(1, 2) == -1
         assert g.sign(2, 1) == -1
-        assert g.has_edge(0, 1) and not g.has_edge(0, 2)
-        assert g.degree(1) == 2
+        assert 1 in g.adjacency(0) and 2 not in g.adjacency(0)
+        assert len(g.adjacency(1)) == 2
         assert g.degree_sequence() == [1, 1, 2, 2]
 
     def test_edges_sorted(self):
@@ -98,10 +100,11 @@ class TestSignedGraph:
         assert g != h
 
     def test_label_fallback(self):
+        # Without labels a node is known by its id alone.
         g = SignedGraph(2, [(0, 1, 1)])
-        assert g.label(1) == "1"
+        assert g.node_labels is None and g.copy().node_labels is None
         h = SignedGraph(2, [(0, 1, 1)], node_labels=["x", "y"])
-        assert h.label(1) == "y"
+        assert h.node_labels[1] == "y"
 
 
 class TestLoadRatingCsv:
@@ -241,10 +244,14 @@ class TestLoadRatingCsv:
 
 class TestTrustedConstruction:
     def test_matches_the_validating_constructor(self):
+        # Edges in any order and orientation, some twice, fill the same graph.
         rng = random.Random(41)
         for _ in range(30):
             g = random_signed_graph(rng, rng.randint(0, 30), rng.uniform(0, 0.5))
-            h = SignedGraph._trusted(g.node_count, list(g.edges()), ["x"] * g.node_count)
+            edges = [(v, u, s) if rng.random() < 0.5 else (u, v, s) for u, v, s in g.edges()]
+            edges += rng.sample(edges, len(edges) // 3)
+            rng.shuffle(edges)
+            h = SignedGraph(g.node_count, edges, ["x"] * g.node_count)
             assert h == g
             assert (h.edge_count, h.pos_edge_count) == (g.edge_count, g.pos_edge_count)
             assert h.node_labels == ["x"] * g.node_count
@@ -305,6 +312,11 @@ class TestEdgeList:
             ("0\u30001\u3000+1\n", r"^line 1: character '\\u3000' is not allowed"),
             ("0 1 +1\x85\n", r"^line 1: character '\\x85' is not allowed"),
             ("\x0c0 1 +1\n", r"^line 1: character '\\x0c' is not allowed"),
+            # past CPython's int-string digit limit, where int() raises
+            pytest.param("# nodes=" + "9" * 5000 + "\n0 1 +1\n",
+                         "^line 1: node count has too many digits$", id="count-5000-digits"),
+            pytest.param("0 1 +1\n0 " + "9" * 5000 + " +1\n",
+                         "^line 2: node id has too many digits$", id="id-5000-digits"),
         ],
     )
     def test_malformed_lines(self, text, message):
@@ -329,3 +341,58 @@ class TestEdgeList:
         buf = io.StringIO()
         write_edge_list(g, buf)
         assert buf.getvalue() == "# nodes=3\n0 1 +1\n1 2 -1\n"
+
+
+class TestNodeBound:
+    """An edge list names at most MAX_NODES_PER_EDGE * (m + 1) nodes for m
+    distinct edges, and a file past that is refused before its node dicts
+    are allocated: a refused load peaks far below what 300,000 nodes take."""
+
+    @staticmethod
+    def refused_load_peak(text: str, line: int) -> int:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as exc:
+                load_edge_list(io.StringIO(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.line == line
+        assert f"at most {MAX_NODES_PER_EDGE} per edge" in str(exc.value)
+        return peak
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("0 300000 +1\n", 1),
+            ("0 1 +1\n1 2 -1\n0 300000 +1\n2 3 +1\n", 3),  # the largest id's line
+            ("# nodes=300000\n0 1 +1\n", 1),
+            ("0 1 +1\n# nodes=300000\n", 2),  # the header's line
+            ("# nodes=300000\n", 1),
+        ],
+    )
+    def test_past_the_bound_refused_before_allocating(self, text, line):
+        assert self.refused_load_peak(text, line) < 1 << 20
+
+    def test_at_the_bound_loads(self):
+        at = MAX_NODES_PER_EDGE * 2  # one edge
+        assert load_edge_list(io.StringIO(f"# nodes={at}\n0 1 +1\n")).node_count == at
+        assert load_edge_list(io.StringIO(f"0 {at - 1} +1\n")).node_count == at
+        assert load_edge_list(io.StringIO(f"# nodes={MAX_NODES_PER_EDGE}\n")).node_count == 64
+        self.refused_load_peak(f"# nodes={at + 1}\n0 1 +1\n", 1)
+        self.refused_load_peak(f"0 {at} +1\n", 1)
+        self.refused_load_peak(f"# nodes={MAX_NODES_PER_EDGE + 1}\n", 1)
+
+    def test_duplicate_lines_count_once(self):
+        # two distinct edges allow ids below 64 * 3
+        text = "0 1 +1\n" * 5 + f"2 {MAX_NODES_PER_EDGE * 3} +1\n"
+        self.refused_load_peak(text, 6)
+
+    def test_writer_refuses_what_the_loader_would(self):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="at most 64 per edge"):
+            write_edge_list(SignedGraph(64 * 2 + 1, [(0, 1, 1)]), buf)
+        assert buf.getvalue() == ""  # nothing half written
+        g = SignedGraph(64 * 2, [(0, 1, 1)])
+        write_edge_list(g, buf)
+        assert load_edge_list(io.StringIO(buf.getvalue())) == g

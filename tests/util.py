@@ -54,6 +54,6 @@ def graph_with_triangles(rng: random.Random, **kwargs) -> SignedGraph:
             nbrs = list(g.adjacency(u))
             for i, v in enumerate(nbrs):
                 for w in nbrs[i + 1 :]:
-                    if g.has_edge(v, w):
+                    if w in g.adjacency(v):
                         return g
     raise AssertionError("could not generate a graph with triangles")
