@@ -32,17 +32,20 @@ from .attack import (
     select_candidates,
     verify_perturbation,
 )
-from .prediction import (
-    EdgeSplit,
-    EvalReport,
-    PipelineRow,
-    attack_eval_pipeline,
-    evaluate,
-    split_edges,
-    write_pipeline_csv,
-)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A name of `__all__` not imported above is one of the prediction
+    module's, imported on first use (PEP 562) so that the attack commands
+    never load that module."""
+    if name in __all__:
+        from . import prediction
+
+        return getattr(prediction, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AttackConfig",

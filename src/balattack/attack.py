@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 import logging
 import random
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -45,8 +45,7 @@ def as_fraction(
     return frac
 
 
-@dataclass(frozen=True)
-class AttackConfig:
+class AttackConfig(namedtuple("AttackConfig", "budget_fraction mode batch_size seed")):
     """Attack parameters.
 
     budget_fraction is the attacked share of undirected edges; the edge
@@ -54,23 +53,29 @@ class AttackConfig:
     random mode only and must be an int >= 0, since `random.Random` drops
     its sign; the greedy modes break ties to the lexicographically smallest
     pair. Every trace record carries the running balance degree,
-    which is None only on a triangle-free graph.
+    which is None only on a triangle-free graph. The constructor, `_make`
+    and `_replace` all check the values and keep the fraction exact.
     """
 
-    budget_fraction: Fraction | float | str
-    mode: str = MODE_BALANCE_SEQUENTIAL
-    batch_size: int = 10
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        frac = as_fraction(self.budget_fraction, "budget_fraction", "(0, 1]")
-        object.__setattr__(self, "budget_fraction", frac)
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if type(self.batch_size) is not int or self.batch_size < 1:  # refuses True too
-            raise ValueError(f"batch_size must be >= 1 and an int, got {self.batch_size!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be >= 0 and an int, got {self.seed!r}")
+    def __new__(cls, budget_fraction: Fraction | float | str, mode: str = MODE_BALANCE_SEQUENTIAL,
+                batch_size: int = 10, seed: int = 0) -> "AttackConfig":
+        frac = as_fraction(budget_fraction, "budget_fraction", "(0, 1]")
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        if type(batch_size) is not int or batch_size < 1:  # refuses True too
+            raise ValueError(f"batch_size must be >= 1 and an int, got {batch_size!r}")
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed must be >= 0 and an int, got {seed!r}")
+        return super().__new__(cls, frac, mode, batch_size, seed)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "AttackConfig":
+        return cls(*iterable)
+
+    def _replace(self, **changes) -> "AttackConfig":
+        return type(self)(**{**self._asdict(), **changes})
 
     def budget_edges(self, edge_count: int) -> int:
         """Edge budget for a graph with `edge_count` edges."""
@@ -104,8 +109,7 @@ class FlipRecord(NamedTuple):
         return census_d3(self.census)
 
 
-@dataclass
-class AttackTrace:
+class AttackTrace(NamedTuple):
     """The flips of one attack run, in order, with the balance degree
     before the first; every later balance degree is a record's `d3`."""
 
@@ -113,7 +117,7 @@ class AttackTrace:
     budget: int
     status: str
     initial_d3: Fraction | None
-    records: list[FlipRecord] = field(default_factory=list)
+    records: list[FlipRecord]
 
     @property
     def final_d3(self) -> Fraction | None:
@@ -252,7 +256,7 @@ def run_balance_attack(
     if initial_d3 == 0:
         # Every triangle is already unbalanced; no flip can help (any
         # candidate would need a balanced triangle behind it).
-        return poisoned, AttackTrace(cfg.mode, budget, STATUS_ALREADY_MINIMAL, initial_d3)
+        return poisoned, AttackTrace(cfg.mode, budget, STATUS_ALREADY_MINIMAL, initial_d3, [])
 
     heap = _CandidateHeap(poisoned.adjacencies(), table)
     k = 1 if cfg.mode == MODE_BALANCE_SEQUENTIAL else cfg.batch_size
@@ -266,11 +270,12 @@ def run_balance_attack(
             # Selection used the frozen epoch ranking; the flip's delta
             # comes from the live table.
             heap.flip(records, u, v, p_sel)
-    log.debug(
-        "%s selection: %d heap pops, %d of them stale (%.1f%%), %d flips",
-        cfg.mode, heap.pops, heap.stale, 100 * heap.stale / max(heap.pops, 1),
-        len(records),
-    )
+    if log.isEnabledFor(logging.DEBUG):  # the count walks every record
+        log.debug(
+            "%s selection: %d heap pops, %d of them stale (%.1f%%), %d flips, %d raise tr(A^3)",
+            cfg.mode, heap.pops, heap.stale, 100 * heap.stale / max(heap.pops, 1),
+            len(records), sum(r.delta_trace > 0 for r in records),
+        )
     return poisoned, AttackTrace(cfg.mode, budget, status, initial_d3, records)
 
 
@@ -301,15 +306,13 @@ def run_random_attack(
     return table.graph, AttackTrace(cfg.mode, budget, STATUS_BUDGET_EXHAUSTED, initial_d3, records)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(NamedTuple):
     """Outcome of checking an attacked graph against the threat model."""
 
     ok: bool
@@ -319,10 +322,9 @@ class PerturbationReport:
     checks: tuple[CheckResult, ...]
 
     def __str__(self) -> str:
-        lines = []
-        for c in self.checks:
-            lines.append(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in self.checks
+        )
 
 
 def verify_perturbation(
@@ -407,7 +409,7 @@ def run_attack_budgets(
     caller that drops each yield before the next holds one at a time. No
     two yields are the same object, and g is not modified.
     """
-    cfgs = [replace(cfg, budget_fraction=f) for f in fractions]
+    cfgs = [cfg._replace(budget_fraction=f) for f in fractions]
     if not cfgs:
         return
     top = max(cfgs, key=lambda c: c.budget_fraction)

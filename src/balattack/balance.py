@@ -3,14 +3,13 @@ single-edge sign flips cheap to score and apply."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import SignedGraph
 
 
-@dataclass(frozen=True)
-class BalanceReport:
+class BalanceReport(NamedTuple):
     """Graph-level balance summary.
 
     `d3` is balanced/(balanced+unbalanced) as an exact Fraction, or None
@@ -35,7 +34,7 @@ class BalanceReport:
     def as_record(self) -> dict:
         """JSON-friendly dict of the fields in order; d3 reported as float
         (None if undefined)."""
-        return {**asdict(self), "d3": self.d3_float()}
+        return {**self._asdict(), "d3": self.d3_float()}
 
 
 def count_signed_triangles(

@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import argparse
 import gc
-import gzip
 import io
 import json
 import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .attack import (
@@ -35,7 +33,6 @@ from .attack import (
 )
 from .balance import balance_degree
 from .graph import SignedGraph, load_edge_list, load_rating_csv, write_edge_list
-from .prediction import attack_eval_pipeline, write_pipeline_csv
 
 log = logging.getLogger("balattack")
 
@@ -184,7 +181,9 @@ def _resolve_format(path: str, fmt: str | None) -> str:
 
 def _load_graph(path: str, fmt: str) -> SignedGraph:
     t0 = time.perf_counter()
-    opener = gzip.open if path.endswith(".gz") else open
+    opener = open
+    if path.endswith(".gz"):
+        from gzip import open as opener  # only compressed inputs need it
     with opener(path, "rt", encoding="utf-8", newline="") as f:
         if fmt == "rating-csv":
             g, stats = load_rating_csv(f)
@@ -228,8 +227,7 @@ def _write_file(path: str, content: str) -> None:
 _LIST_FLAGS = {"budgets": "--budget", "modes": "--mode"}
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Sidecar record that makes a run repeatable: `balattack rerun
     --manifest X.manifest.json` regenerates every listed output and
     verifies it byte-for-byte."""
@@ -247,7 +245,7 @@ class RunManifest:
     input_bytes: int | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self._asdict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
@@ -317,6 +315,9 @@ def _attack_outputs(g: SignedGraph, config: dict, wanted, source: str):
 
 
 def _eval_outputs(g: SignedGraph, config: dict, wanted, source: str):
+    # Here, so only eval loads the module; read at call time, so a wrapper on a name is called.
+    from .prediction import attack_eval_pipeline, write_pipeline_csv
+
     rows = attack_eval_pipeline(
         g,
         config["budgets"],

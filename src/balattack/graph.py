@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import re
-from dataclasses import dataclass
+from collections import defaultdict
 from fractions import Fraction
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 _SIGN_TOKENS = {"+1": 1, "1": 1, "+": 1, "-1": -1, "-": -1}
 _NODES_HEADER = re.compile(r"#\s*nodes\s*=\s*(\d+)\s*$")
@@ -174,8 +173,7 @@ class SignedGraph:
         )
 
 
-@dataclass
-class LoadStats:
+class LoadStats(NamedTuple):
     """Bookkeeping from a rating-CSV load."""
 
     rows: int = 0
@@ -235,6 +233,7 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
     exponents past MAX_RATING_EXPONENT and ratings with too many digits, or
     on input with no data rows.
     """
+    import csv  # only rating CSVs need it
     sums: dict[tuple[str, str], int | Fraction] = {}
     get = sums.get
     rows = self_loops = zero_ratings = 0
@@ -307,11 +306,12 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
     duplicate, a self-loop, an invalid sign, a second `# nodes=` header, a
     header below the largest id, or more than MAX_NODES_PER_EDGE * (m + 1)
     nodes for m distinct edges is a ParseError. The last names the header's
-    line, or else the largest id's, and comes before any node is allocated.
+    line, or else the largest id's, and comes before any node that no edge
+    names is allocated.
     """
     declared_n: int | None = None
     header_line = max_line = 0
-    edges: dict[tuple[int, int], int] = {}
+    named: defaultdict[int, dict[int, int]] = defaultdict(dict)  # the ids edges name
     max_id = -1
     for lineno, raw in enumerate(stream, 1):
         line = raw.strip(" \t\r\n")
@@ -353,22 +353,21 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
         s = _SIGN_TOKENS.get(sign)
         if s is None:
             raise ParseError(f"sign must be +1 or -1, got {sign!r}", lineno)
-        key = (u, v) if u < v else (v, u)
-        if edges.setdefault(key, s) != s:
-            raise ParseError(f"conflicting duplicate for edge {key}", lineno)
+        if named[u].setdefault(v, s) != s:
+            raise ParseError(f"conflicting duplicate for edge {(min(u, v), max(u, v))}", lineno)
+        named[v][u] = s
         if v > max_id or u > max_id:
             max_id, max_line = max(u, v), lineno
     if declared_n is not None and declared_n <= max_id:
         raise ParseError(f"header declares {declared_n} nodes but ids reach {max_id}", header_line)
     n = max_id + 1 if declared_n is None else declared_n
-    m = len(edges)
+    m = sum(map(len, named.values())) // 2  # each edge is in both ends' dicts
     if n > MAX_NODES_PER_EDGE * (m + 1):
         raise ParseError(f"{n} nodes for {m} edges: at most {MAX_NODES_PER_EDGE} per edge, "
                          f"plus {MAX_NODES_PER_EDGE}", header_line or max_line)
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for (u, v), s in edges.items():
-        adj[u][v] = adj[v][u] = s
-    return SignedGraph._adopt(adj, m, (m + sum(edges.values())) // 2)
+    signs = sum(sum(nbrs.values()) for nbrs in named.values()) // 2  # pos - neg
+    # A named id's dict is never empty; only the ids no edge names get a new one.
+    return SignedGraph._adopt([named.get(u) or {} for u in range(n)], m, (m + signs) // 2)
 
 
 def write_edge_list(g: SignedGraph, stream: IO[str]) -> None:

@@ -6,9 +6,8 @@ from __future__ import annotations
 import csv
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .attack import AttackConfig, as_fraction, run_attack_budgets
 from .balance import balance_degree
@@ -20,8 +19,7 @@ PIPELINE_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class EdgeSplit:
+class EdgeSplit(NamedTuple):
     """Disjoint train/test partition of a graph's signed edges, as
     `split_edges` takes them: a train graph on all nodes, and test edges."""
 
@@ -60,8 +58,7 @@ def split_edges(
     return EdgeSplit(train=g._without(test_edges), test_edges=test_edges)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Binary confusion counts and the three F1 flavors, all exact.
 
     The positive class is sign +1. micro_f1 coincides with accuracy for
@@ -134,8 +131,7 @@ def evaluate_on_split(train: SignedGraph, test_edges: Iterable[tuple[int, int, i
     return evaluate(preds, labels)
 
 
-@dataclass(frozen=True)
-class PipelineRow:
+class PipelineRow(NamedTuple):
     """One (budget, mode) cell of the attack-evaluation sweep."""
 
     dataset: str

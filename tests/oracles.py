@@ -205,16 +205,17 @@ def _parse_number(text: str) -> int | Fraction:
 
 def reference_load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
     """`load_rating_csv` as a plain per-row loop: a blank-row test and a
-    full parse of every row, stats kept on the record, and the graph built
-    through the validating constructor."""
+    full parse of every row, stats kept in local counters, and the graph
+    built through the validating constructor."""
     sums: dict[tuple[str, str], int | Fraction] = {}
-    stats = LoadStats()
+    rows = self_loop_rows = zero_rating_rows = merged_rows = zero_sum_pairs = 0
+    header_skipped = False
     for lineno, row in enumerate(csv.reader(stream), 1):
         if not row or all(not f.strip() for f in row):
             continue
         if len(row) < 3:
             if lineno == 1:
-                stats.header_skipped = True
+                header_skipped = True
                 continue
             raise ParseError(f"expected source,target,rating[,time], got {len(row)} fields", lineno)
         try:
@@ -223,32 +224,32 @@ def reference_load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadS
             raise ParseError(str(exc), lineno) from None
         except ValueError:
             if lineno == 1:
-                stats.header_skipped = True
+                header_skipped = True
                 continue
             raise ParseError(f"non-numeric rating {row[2]!r}", lineno) from None
-        stats.rows += 1
+        rows += 1
         src = row[0].strip()
         dst = row[1].strip()
         if src == dst:
-            stats.self_loop_rows += 1
+            self_loop_rows += 1
             continue
         if rating == 0:
-            stats.zero_rating_rows += 1
+            zero_rating_rows += 1
             continue
         key = (src, dst) if src <= dst else (dst, src)
         if key in sums:
-            stats.merged_rows += 1
+            merged_rows += 1
             sums[key] += rating
         else:
             sums[key] = rating
-    if stats.rows == 0:
+    if rows == 0:
         raise ParseError("empty input: no data rows")
     ids: dict[str, int] = {}
     labels: list[str] = []
     edges: list[tuple[int, int, int]] = []
     for (a, b), total in sums.items():
         if total == 0:
-            stats.zero_sum_pairs += 1
+            zero_sum_pairs += 1
             continue
         for x in (a, b):
             if x not in ids:
@@ -256,11 +257,18 @@ def reference_load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadS
                 labels.append(x)
         edges.append((ids[a], ids[b], 1 if total > 0 else -1))
     g = SignedGraph(len(labels), edges, labels)
-    stats.nodes = g.node_count
-    stats.edges = g.edge_count
-    stats.pos_edges = g.pos_edge_count
-    stats.neg_edges = g.neg_edge_count
-    return g, stats
+    return g, LoadStats(
+        rows=rows,
+        header_skipped=header_skipped,
+        zero_rating_rows=zero_rating_rows,
+        self_loop_rows=self_loop_rows,
+        merged_rows=merged_rows,
+        zero_sum_pairs=zero_sum_pairs,
+        nodes=g.node_count,
+        edges=g.edge_count,
+        pos_edges=g.pos_edge_count,
+        neg_edges=g.neg_edge_count,
+    )
 
 
 def confusion_brute(preds: Sequence[int], labels: Sequence[int]) -> tuple[int, int, int, int]:
@@ -358,7 +366,7 @@ def scan_balance_attack(
         records.append(FlipRecord(len(records) + 1, u, v, a, p_sel, delta, census))
 
     if trace_abs > 0 and trace_a3 == -trace_abs:
-        return poisoned, AttackTrace(cfg.mode, budget, STATUS_ALREADY_MINIMAL, initial_d3)
+        return poisoned, AttackTrace(cfg.mode, budget, STATUS_ALREADY_MINIMAL, initial_d3, [])
     status = STATUS_BUDGET_EXHAUSTED
     if cfg.mode == MODE_BALANCE_SEQUENTIAL:
         while len(records) < budget:

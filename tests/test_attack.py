@@ -5,8 +5,8 @@ import logging
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +24,7 @@ from balattack import (
     run_balance_attack,
     run_random_attack,
     select_candidates,
+    load_edge_list,
     verify_perturbation,
     write_edge_list,
 )
@@ -40,6 +41,7 @@ from oracles import (
 from util import clustered_signed_graph, graph_with_triangles, random_signed_graph
 
 K3 = [(0, 1, 1), (0, 2, 1), (1, 2, 1)]
+HK1000 = Path(__file__).parent / "fixtures" / "digests" / "hk1000.edges"
 
 
 def k3() -> SignedGraph:
@@ -91,6 +93,21 @@ class TestConfig:
         for seed in (-3, 2.5, "7"):
             with pytest.raises(ValueError, match="seed must be >= 0"):
                 AttackConfig(budget_fraction=0.1, mode=MODE_RANDOM, seed=seed)
+
+    def test_replace_and_make_check_like_the_constructor(self):
+        cfg = AttackConfig(budget_fraction=0.1, mode=MODE_RANDOM, seed=3)
+        half = cfg._replace(budget_fraction="1/2")
+        assert type(half) is AttackConfig and type(half.budget_fraction) is Fraction
+        assert half == (Fraction(1, 2), MODE_RANDOM, 10, 3)  # a tuple, equal to a plain one
+        with pytest.raises(ValueError, match=r"budget_fraction must be in \(0, 1\], got 2"):
+            cfg._replace(budget_fraction=2)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            cfg._replace(seed=-1)
+        with pytest.raises(TypeError):
+            cfg._replace(depth=3)
+        assert AttackConfig._make(["1/4", MODE_RANDOM, 2, 0]) == (Fraction(1, 4), MODE_RANDOM, 2, 0)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            AttackConfig._make([0.5, MODE_RANDOM, 0, 0])
 
 
 class TestSelectCandidates:
@@ -353,6 +370,19 @@ class TestHeapMatchesScan:
         pops, stale = map(int, re.search(r"(\d+) heap pops, (\d+) of them stale", line).groups())
         assert pops >= stale + len(trace.records)
 
+    @pytest.mark.parametrize("mode", [MODE_BALANCE_SEQUENTIAL, MODE_BALANCE_BATCHED])
+    def test_raising_flips_logged_at_debug(self, caplog, mode):
+        """Exact greedy never raises tr(A^3); flips on a batch's frozen
+        scores do (README, "Attack modes")."""
+        with open(HK1000, encoding="utf-8") as f:
+            g = load_edge_list(f)
+        with caplog.at_level(logging.DEBUG, logger="balattack"):
+            _, trace = run_balance_attack(g, AttackConfig(budget_fraction=0.2, mode=mode))
+        (line,) = [r.getMessage() for r in caplog.records if "heap pops" in r.getMessage()]
+        raising = int(re.search(r"(\d+) raise tr\(A\^3\)", line).group(1))
+        assert raising == sum(r.delta_trace > 0 for r in trace.records)
+        assert (raising > 0) == (mode == MODE_BALANCE_BATCHED)
+
 
 @pytest.fixture
 def random_runs(monkeypatch) -> list:
@@ -404,7 +434,7 @@ class TestBudgetSweep:
                 before = len(random_runs)
                 got = list(run_attack_budgets(g, cfg, fractions))
                 runs = len(random_runs) - before
-                ks = {replace(cfg, budget_fraction=f).budget_edges(m) for f in fractions}
+                ks = {cfg._replace(budget_fraction=f).budget_edges(m) for f in fractions}
                 if mode == MODE_RANDOM:
                     assert 1 <= runs <= len(ks)
                     if len(ks) > 1:
@@ -413,7 +443,7 @@ class TestBudgetSweep:
                     assert runs == 0
                 assert [f for f, _, _ in got] == fractions
                 for f, poisoned, trace in got:
-                    want_graph, want_trace = run_attack(g, replace(cfg, budget_fraction=f))
+                    want_graph, want_trace = run_attack(g, cfg._replace(budget_fraction=f))
                     assert trace == want_trace, (i, cfg, f)
                     assert poisoned == want_graph, (i, cfg, f)
                     statuses[trace.status] += 1
@@ -443,7 +473,7 @@ class TestBudgetSweep:
         (line,) = [r.getMessage() for r in caplog.records if "random sweep" in r.getMessage()]
         assert f"one run of {large} flips served {3 - runs} budgets, {runs - 1} ran standalone" in line
         for f, poisoned, trace in got:
-            want_graph, want_trace = run_random_attack(g, replace(cfg, budget_fraction=f))
+            want_graph, want_trace = run_random_attack(g, cfg._replace(budget_fraction=f))
             assert (poisoned, trace) == (want_graph, want_trace)
 
     def test_every_yield_is_its_own_replay(self, random_runs):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import gc
 import gzip
 import hashlib
@@ -225,7 +224,7 @@ class TestAttack:
         """So each one is set by a flag, recorded in the manifest and
         replayed by rerun."""
         keys = cli.build_parser().commands["attack"].get_default("config_keys")
-        fields = {f.name for f in dataclasses.fields(AttackConfig)} - {"budget_fraction"}
+        fields = set(AttackConfig._fields) - {"budget_fraction"}
         assert fields == set(keys) - {"budgets"}
 
     def test_one_manifest_lists_every_budget(self, clustered_file, tmp_path):
@@ -510,6 +509,39 @@ class TestRerun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {manifest}: "), err
         assert message in err[0]
+
+
+# Run in a child started without `site`, so that only the package decides
+# what `import balattack.cli` loads.
+_IMPORT_GRAPH_CHILD = """
+import sys
+import balattack.cli
+print(sorted(m for m in ("dataclasses", "inspect", "balattack.prediction") if m in sys.modules))
+import balattack
+names = {}
+exec("from balattack import *", names)
+print(balattack.EvalReport.__module__, sorted(set(balattack.__all__) - set(names)))
+sys.exit(balattack.cli.main(sys.argv[1:]))
+"""
+
+
+def test_the_cli_imports_no_dataclasses_and_prediction_only_for_eval(tmp_path):
+    """Every command pays for the package import, so it leaves out
+    `dataclasses` (and the `inspect` it pulls in), and `balattack.prediction`
+    until eval or a prediction name asks for it. One child checks it, then
+    reads a prediction name, star-imports the package and runs eval."""
+    args = ["eval", "--input", str(FIXTURES / "digests" / "hk1000.csv"),
+            "--mode", "balance,random", "--budget", "0.1"]
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_GRAPH_CHILD, *args, "--out-csv",
+         str(tmp_path / "child.csv")],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "balattack.prediction []"]
+    assert main([*args, "--out-csv", str(tmp_path / "here.csv")]) == 0
+    assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
 def test_console_script_and_log_env(k3_file):

@@ -4,7 +4,6 @@ import csv
 import io
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -414,7 +413,7 @@ def test_pipeline_csv_quotes_the_dataset_name():
     rows = attack_eval_pipeline(g, [0, 0.2], [MODE_RANDOM], split_seed=1)
     for name in ("a,b", 'say "hi"', "two\nlines"):
         buf = io.StringIO()
-        write_pipeline_csv([replace(r, dataset=name) for r in rows], buf)
+        write_pipeline_csv([r._replace(dataset=name) for r in rows], buf)
         parsed = list(csv.reader(io.StringIO(buf.getvalue())))[2:]
         assert [len(r) for r in parsed] == [9] * len(rows)
         assert {r[0] for r in parsed} == {name}

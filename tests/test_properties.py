@@ -14,7 +14,6 @@ becoming an edge.
 from __future__ import annotations
 
 import io
-from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -103,7 +102,7 @@ def test_trace_prefix_equals_a_standalone_run(g, cfg, data):
     m = g.edge_count
     _, full = run_attack(g, cfg)
     k = data.draw(st.integers(1, cfg.budget_edges(m)), label="k")
-    _, alone = run_attack(g, replace(cfg, budget_fraction=Fraction(k, m)))
+    _, alone = run_attack(g, cfg._replace(budget_fraction=Fraction(k, m)))
     assert full.prefix(k) == alone
 
 
@@ -122,10 +121,10 @@ def test_every_sweep_yield_is_a_permitted_perturbation(g, cfg, fractions):
     before = g.copy()
     yielded = []
     for f, poisoned, _ in run_attack_budgets(g, cfg, fractions):
-        k = replace(cfg, budget_fraction=f).budget_edges(g.edge_count)
+        k = cfg._replace(budget_fraction=f).budget_edges(g.edge_count)
         assert verify_perturbation(g, poisoned, k).ok
         yielded.append(f)
-    assert yielded == [replace(cfg, budget_fraction=f).budget_fraction for f in fractions]
+    assert yielded == [cfg._replace(budget_fraction=f).budget_fraction for f in fractions]
     assert g == before
 
 
