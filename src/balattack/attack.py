@@ -280,30 +280,25 @@ def run_balance_attack(
 
 
 def run_random_attack(
-    g: SignedGraph,
-    cfg: AttackConfig,
-    *,
-    start: TwoPathTable | None = None,
+    g: SignedGraph, cfg: AttackConfig
 ) -> tuple[SignedGraph, AttackTrace]:
     """Flip a uniformly random budget-sized edge subset (the baseline).
 
-    Deterministic for a given seed. The trace records the true two-path
-    sums and trace deltas at each flip, same as the greedy modes. `start`
-    is g's two-path table, built once by `run_attack_budgets` for all its
-    budgets; the run samples its edges and flips a copy.
+    Deterministic for a given seed: the sample is drawn from g's edges in
+    `g.edges()` order and flipped on a copy of g. The trace records the
+    true two-path sums and trace deltas at each flip, as the greedy modes do.
     """
     if cfg.mode != MODE_RANDOM:
         raise ValueError(f"config mode is {cfg.mode!r}, expected {MODE_RANDOM!r}")
     budget = cfg.budget_edges(g.edge_count)
-    if start is None:
-        start = TwoPathTable.from_graph(g)
-    chosen = random.Random(cfg.seed).sample(start.pairs(), budget)
-    table = start.copy()
+    chosen = random.Random(cfg.seed).sample([(u, v) for u, v, _ in g.edges()], budget)
+    poisoned = g.copy()
+    table = TwoPathTable.from_graph(poisoned)
+    initial_d3 = census_d3(table.census)
     records: list[FlipRecord] = []
     for u, v in chosen:
         _flip(table, records, u, v, table.get(u, v))
-    initial_d3 = census_d3(start.census)
-    return table.graph, AttackTrace(cfg.mode, budget, STATUS_BUDGET_EXHAUSTED, initial_d3, records)
+    return poisoned, AttackTrace(cfg.mode, budget, STATUS_BUDGET_EXHAUSTED, initial_d3, records)
 
 
 class CheckResult(NamedTuple):
@@ -377,20 +372,17 @@ def verify_perturbation(
     )
 
 
-def _unshared_random_budgets(
-    start: TwoPathTable, seed: int, full: AttackTrace, ks: Iterable[int]
-) -> set[int]:
-    """The edge budgets in ks whose own random sample is not the first k
-    flips of `full`, the run at the largest budget. CPython's `sample`
-    draws from a set or from a pool depending on k and the population
-    size, so a smaller sample is a prefix of a larger one only when both
-    draws take the same way; the comparison decides, not the rule."""
-    ks = {k for k in ks if k < full.budget}
+def _unshared_random_budgets(m: int, seed: int, top: int, ks: Iterable[int]) -> set[int]:
+    """The edge budgets in ks whose own sample of m edges is not the first
+    k of the sample at the largest budget `top`. `sample` reads a sequence
+    only by len and index, so indices drawn from range(m) name the edges it
+    would draw. CPython draws from a set or from a pool depending on k and
+    m; the comparison decides whether two draws share a prefix, not that rule."""
+    ks = {k for k in ks if k < top}
     if not ks:
         return ks
-    pairs = start.pairs()
-    flipped = full.flipped_edges()
-    return {k for k in ks if random.Random(seed).sample(pairs, k) != flipped[:k]}
+    full = random.Random(seed).sample(range(m), top)
+    return {k for k in ks if random.Random(seed).sample(range(m), k) != full[:k]}
 
 
 def run_attack_budgets(
@@ -402,7 +394,7 @@ def run_attack_budgets(
     Every mode runs once, at the largest budget, and serves each budget
     from a prefix of that run's trace. Greedy selection never looks at the
     budget; a random budget is served only when its own sample is that
-    prefix, and otherwise flips its sample on a copy of g's two-path table.
+    prefix (decided before the run), and otherwise runs standalone.
     When the largest budget is listed first, its graph is the run's own;
     every other budget's graph is replayed when the caller asks for it.
     The run's graph is never held while another budget is served, so a
@@ -416,11 +408,8 @@ def run_attack_budgets(
     ks = [c.budget_edges(g.edge_count) for c in cfgs]
     standalone: set[int] = set()
     if cfg.mode == MODE_RANDOM:
-        start = TwoPathTable.from_graph(g)
-        poisoned, full = run_random_attack(g, top, start=start)
-        standalone = _unshared_random_budgets(start, cfg.seed, full, ks)
-        if not standalone:
-            start = None  # nothing left to flip from scratch
+        standalone = _unshared_random_budgets(g.edge_count, cfg.seed, max(ks), ks)
+        poisoned, full = run_random_attack(g, top)
         alone = sum(k in standalone for k in ks)
         log.debug(
             "random sweep: one run of %d flips served %d budgets, %d ran standalone",
@@ -432,7 +421,7 @@ def run_attack_budgets(
         poisoned = None  # replayed in its turn, not held through the budgets before it
     for c, k in zip(cfgs, ks):
         if k in standalone:
-            yield (c.budget_fraction, *run_random_attack(g, c, start=start))
+            yield (c.budget_fraction, *run_random_attack(g, c))
             continue
         trace = full.prefix(k)
         if poisoned is None:

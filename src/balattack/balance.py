@@ -124,25 +124,19 @@ class TwoPathTable:
     maintained under a sign flip in O(deg(u)+deg(v)) instead of being
     recomputed. Each edge is stored once, in the triangle walk's rank
     orientation: `rows()[u][v]` for the end v ranked above u (see
-    `count_signed_triangles`). `pairs()` gives every edge as (min, max)
-    in `g.edges()` order; that list is built on first use and shared by
-    copies, since the edge support never changes. The table tracks one
-    specific graph object; `apply_flip` mutates both in lock-step and
-    keeps `census` exact.
+    `count_signed_triangles`). The table tracks one specific graph
+    object; `apply_flip` mutates both in lock-step and keeps `census`
+    exact. A run that must leave its input alone builds the table on a
+    copy of the graph.
     """
 
-    __slots__ = ("graph", "_fwd", "_pairs", "census")
+    __slots__ = ("graph", "_fwd", "census")
 
     def __init__(
-        self,
-        graph: SignedGraph,
-        rows: list[dict[int, int]],
-        census: tuple[int, int],
-        pairs: list[tuple[int, int]] | None = None,
+        self, graph: SignedGraph, rows: list[dict[int, int]], census: tuple[int, int]
     ):
         self.graph = graph
         self._fwd = rows
-        self._pairs = pairs
         self.census = census
 
     @classmethod
@@ -152,11 +146,6 @@ class TwoPathTable:
         rows: list[dict[int, int]] = []
         census = count_signed_triangles(g, fill=rows)
         return cls(g, rows, census)
-
-    def copy(self) -> "TwoPathTable":
-        """An independent table that tracks a copy of the graph."""
-        rows = list(map(dict.copy, self._fwd))
-        return TwoPathTable(self.graph.copy(), rows, self.census, self._pairs)
 
     def get(self, u: int, v: int) -> int:
         """p_uv of edge {u,v}, in either order; KeyError for a non-edge."""
@@ -174,12 +163,6 @@ class TwoPathTable:
         dicts are the table's own, so flips show in them. Treat as
         read-only."""
         return self._fwd
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """Every edge as (min, max), in `g.edges()` order."""
-        if self._pairs is None:
-            self._pairs = [(u, v) for u, v, _s in self.graph.edges()]
-        return list(self._pairs)
 
     def __len__(self) -> int:
         return self.graph.edge_count

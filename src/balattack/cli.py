@@ -182,7 +182,7 @@ def _resolve_format(path: str, fmt: str | None) -> str:
 def _load_graph(path: str, fmt: str) -> SignedGraph:
     t0 = time.perf_counter()
     opener = open
-    if path.endswith(".gz"):
+    if path.lower().endswith(".gz"):
         from gzip import open as opener  # only compressed inputs need it
     with opener(path, "rt", encoding="utf-8", newline="") as f:
         if fmt == "rating-csv":

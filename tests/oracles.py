@@ -143,7 +143,7 @@ def two_path_table_per_edge(g: SignedGraph) -> dict[tuple[int, int], int]:
 def table_items(table: TwoPathTable) -> list[tuple[tuple[int, int], int]]:
     """((min, max), p) for every edge of the table's graph, in `g.edges()`
     order, read one entry at a time through `get`."""
-    return [((u, v), table.get(u, v)) for u, v in table.pairs()]
+    return [((u, v), table.get(u, v)) for u, v, _ in table.graph.edges()]
 
 
 def table_consistent(table: TwoPathTable) -> bool:

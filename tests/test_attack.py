@@ -463,6 +463,11 @@ class TestBudgetSweep:
         # the pool's first 10 picks differ from the set's.
         g = graph_with_m_edges(random.Random(41), 30, 200)
         pairs = [(u, v) for u, v, _ in g.edges()]
+        # sample() reads the pairs only by len and index, so sampled indices
+        # name the sampled pairs, by a set draw (10, 20) and a pool draw (40)
+        for k in (10, 20, 40):
+            indices = random.Random(1).sample(range(200), k)
+            assert [pairs[i] for i in indices] == random.Random(1).sample(pairs, k)
         prefix = random.Random(1).sample(pairs, large)[:small]
         assert (prefix == random.Random(1).sample(pairs, small)) == (runs == 1)
         cfg = AttackConfig(budget_fraction=1, mode=MODE_RANDOM, seed=1)

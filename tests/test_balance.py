@@ -195,26 +195,24 @@ class TestTrianglePass:
         rng = random.Random(59)
         g = clustered_signed_graph(rng, communities=3, size=7, noise=0.2)
         t = TwoPathTable.from_graph(g)
-        pairs = t.pairs()
-        assert pairs == [(u, v) for u, v, _ in g.edges()]
+        pairs = [(u, v) for u, v, _ in g.edges()]
         for u, v in rng.sample(pairs, 40):
             t.apply_flip(u, v)
             assert t.census == census_by_listing(g)
-        twin = t.copy()
+        twin = TwoPathTable.from_graph(g.copy())
         assert twin.census == t.census and table_consistent(twin)
 
 
 class TestRankOrientedRows:
     """The table's storage: one dict per node over its forward neighbours,
-    patched by flips on a table and on copies of it."""
+    patched by flips on a table and on tables built on copies of its graph."""
 
     @staticmethod
-    def check(t, edges):
+    def check(t):
         g = t.graph
         rank = {u: (len(g.adjacency(u)), u) for u in range(g.node_count)}
         assert all(rank[u] < rank[v] for u, row in enumerate(t.rows()) for v in row)
         assert sum(map(len, t.rows())) == len(t) == g.edge_count
-        assert t.pairs() == edges
         assert table_consistent(t)
         scan = {(u, v) for u, v, _p in epoch_ranking_scan(g, t)}
         assert select_candidates(g, t) == scan
@@ -234,21 +232,16 @@ class TestRankOrientedRows:
             graphs += 1
             edges = [(u, v) for u, v, _ in g.edges()]
             tables = [TwoPathTable.from_graph(g)]
-            self.check(tables[0], edges)
+            self.check(tables[0])
             for _ in range(rng.randint(1, 10)):
                 if rng.random() < 0.3:
-                    tables.append(rng.choice(tables).copy())
+                    tables.append(TwoPathTable.from_graph(rng.choice(tables).graph.copy()))
                 rng.choice(tables).apply_flip(*rng.choice(edges))
                 for t in tables:
-                    self.check(t, edges)
+                    self.check(t)
                 rows = [id(row) for t in tables for row in t.rows()]
                 assert len(set(rows)) == len(rows)  # no two tables share a row
                 assert len({id(t.graph) for t in tables}) == len(tables)
-
-    def test_pairs_are_a_fresh_list_each_call(self):
-        t = TwoPathTable.from_graph(SignedGraph(3, K3))
-        t.pairs().clear()
-        assert t.pairs() == t.copy().pairs() == [(0, 1), (0, 2), (1, 2)]
 
 
 class TestFlipDelta:
@@ -330,7 +323,7 @@ class TestIncrementalTable:
                 continue
             t = TwoPathTable.from_graph(g)
             graph_before, table_before = g.copy(), dict(table_items(t))
-            twin = t.copy()
+            twin = TwoPathTable.from_graph(g.copy())
             assert twin.graph is not g and twin.graph == g
             edges = [(u, v) for u, v, _ in g.edges()]
             for u, v in rng.sample(edges, rng.randint(1, len(edges))):

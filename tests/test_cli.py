@@ -6,6 +6,7 @@ import gzip
 import hashlib
 import io
 import json
+import logging
 import os
 import random
 import re
@@ -102,6 +103,12 @@ class TestStats:
             f.write(K3_TEXT)
         assert main(["stats", "--input", str(path), "--format", "edge-list"]) == 0
         assert "d3=1.0" in capsys.readouterr().out
+        # the suffix is matched without case, as format inference reads it
+        upper = tmp_path / "t.CSV.GZ"
+        with gzip.open(upper, "wt") as f:
+            f.write("source,target,rating\n1,2,5\n1,3,5\n2,3,5\n")
+        assert main(["stats", "--input", str(upper)]) == 0
+        assert "d3=1.0" in capsys.readouterr().out
 
 
 class TestAttack:
@@ -183,11 +190,15 @@ class TestAttack:
         assert exc.value.code == 2
         assert "argument --budget: budget must be in (0, 1], got 1.5" in capsys.readouterr().err
 
-    def test_unknown_mode_is_usage_error(self, k3_file):
+    def test_unknown_mode_is_usage_error(self, k3_file, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["attack", "--input", str(k3_file), "--mode", "chaos",
                   "--budget", "0.5", "--out-trace", "t.csv"])
         assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--input", str(k3_file), "--mode", "balance,bogus"])
+        assert exc.value.code == 2
+        assert "unknown mode 'bogus'; pick from" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["attack", "--mode", "balance-batched", "--out-trace", "t.csv"],
@@ -399,12 +410,17 @@ class TestRerun:
             "--out-graph", str(out_graph),
         ]) == 0
         manifest = str(out_graph) + ".manifest.json"
+        original = out_graph.read_bytes()
         out_graph.write_text("tampered\n")
         capsys.readouterr()
         assert main(["rerun", "--manifest", manifest]) == 1
         assert "DIFFERS" in capsys.readouterr().out
         assert main(["rerun", "--manifest", manifest]) == 0
         assert "reproduced" in capsys.readouterr().out
+        out_graph.unlink()  # a missing output is written again
+        assert main(["rerun", "--manifest", manifest]) == 0
+        assert capsys.readouterr().out == f"{out_graph} created\n"
+        assert out_graph.read_bytes() == original
 
     def test_missing_manifest(self, tmp_path, capsys):
         assert main(["rerun", "--manifest", str(tmp_path / "no.json")]) == 1
@@ -544,7 +560,7 @@ def test_the_cli_imports_no_dataclasses_and_prediction_only_for_eval(tmp_path):
     assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
 
 
-def test_console_script_and_log_env(k3_file):
+def test_console_script_and_log_env(k3_file, monkeypatch):
     """The installed entry point runs, and BALATTACK_LOG drives verbosity."""
     exe = shutil.which("balattack")
     cmd = [exe] if exe else [sys.executable, "-m", "balattack.cli"]
@@ -563,3 +579,11 @@ def test_console_script_and_log_env(k3_file):
     )
     assert quiet.returncode == 0
     assert "INFO" not in quiet.stderr
+
+    # an unknown level name falls back to WARNING, checked in process
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    for name in ("chatty", "basic_format", "debug"):  # BASIC_FORMAT is no level
+        monkeypatch.setenv("BALATTACK_LOG", name)
+        cli._configure_logging()
+    assert levels == [logging.WARNING, logging.WARNING, logging.DEBUG]
