@@ -156,7 +156,7 @@ def _scored_candidates(
     from the table's rows, in no particular order."""
     return [
         (-s, u, v) if u < v else (-s, v, u)
-        for u, row in enumerate(table.rows())
+        for u, row in enumerate(table.rows)
         for v, p in row.items()
         if (s := adj[u][v] * p) > 0
     ]
@@ -174,11 +174,14 @@ def _flip(
     table: TwoPathTable, records: list[FlipRecord], u: int, v: int, p_sel: int
 ) -> None:
     """Flip {u,v} through the table and append its record. `p_sel` is the
-    two-path sum the flip was selected on; the realized delta comes from
-    the live table, and the census from the table."""
-    p = table.get(u, v)
+    two-path sum the flip was selected on. The realized delta comes from
+    the census: the flip moves a_uv * p_uv triangles from balanced to
+    unbalanced, and each triangle is 6 in tr(A^3), so the delta is 12
+    times the change of the balanced count."""
+    balanced = table.census[0]
     a = table.apply_flip(u, v)
-    records.append(FlipRecord(len(records) + 1, u, v, a, p_sel, -12 * a * p, table.census))
+    delta = 12 * (table.census[0] - balanced)
+    records.append(FlipRecord(len(records) + 1, u, v, a, p_sel, delta, table.census))
 
 
 class _CandidateHeap:
@@ -193,8 +196,8 @@ class _CandidateHeap:
     maximal score. Both greedy modes take candidates through `pop_batch`.
     """
 
-    def __init__(self, adj: list[dict[int, int]], table: TwoPathTable):
-        self.adj = adj
+    def __init__(self, table: TwoPathTable):
+        self.adj = adj = table.graph.adjacencies()
         self.table = table
         self.heap = _scored_candidates(adj, table)
         heapq.heapify(self.heap)
@@ -252,19 +255,15 @@ def run_balance_attack(
     table = TwoPathTable.from_graph(poisoned)
     initial_d3 = census_d3(table.census)
     records: list[FlipRecord] = []
-
-    if initial_d3 == 0:
-        # Every triangle is already unbalanced; no flip can help (any
-        # candidate would need a balanced triangle behind it).
-        return poisoned, AttackTrace(cfg.mode, budget, STATUS_ALREADY_MINIMAL, initial_d3, [])
-
-    heap = _CandidateHeap(poisoned.adjacencies(), table)
+    heap = _CandidateHeap(table)
     k = 1 if cfg.mode == MODE_BALANCE_SEQUENTIAL else cfg.batch_size
     status = STATUS_BUDGET_EXHAUSTED
     while len(records) < budget:
         batch = heap.pop_batch(min(k, budget - len(records)))
         if not batch:
-            status = STATUS_NO_CANDIDATES
+            # With every triangle unbalanced, every a_uv * p_uv is <= 0, so
+            # the first epoch finds no candidate.
+            status = STATUS_ALREADY_MINIMAL if initial_d3 == 0 else STATUS_NO_CANDIDATES
             break
         for u, v, p_sel in batch:
             # Selection used the frozen epoch ranking; the flip's delta

@@ -123,20 +123,21 @@ class TwoPathTable:
     This is the quantity the greedy attack ranks by, and it can be
     maintained under a sign flip in O(deg(u)+deg(v)) instead of being
     recomputed. Each edge is stored once, in the triangle walk's rank
-    orientation: `rows()[u][v]` for the end v ranked above u (see
-    `count_signed_triangles`). The table tracks one specific graph
-    object; `apply_flip` mutates both in lock-step and keeps `census`
-    exact. A run that must leave its input alone builds the table on a
-    copy of the graph.
+    orientation: `rows[u][v]` for the end v ranked above u (see
+    `count_signed_triangles`). `rows` is the table's own list of dicts,
+    indexed by id, so flips show in it; treat it as read-only. The table
+    tracks one specific graph object; `apply_flip` mutates both in
+    lock-step and keeps `census` exact. A run that must leave its input
+    alone builds the table on a copy of the graph.
     """
 
-    __slots__ = ("graph", "_fwd", "census")
+    __slots__ = ("graph", "rows", "census")
 
     def __init__(
         self, graph: SignedGraph, rows: list[dict[int, int]], census: tuple[int, int]
     ):
         self.graph = graph
-        self._fwd = rows
+        self.rows = rows
         self.census = census
 
     @classmethod
@@ -149,23 +150,14 @@ class TwoPathTable:
 
     def get(self, u: int, v: int) -> int:
         """p_uv of edge {u,v}, in either order; KeyError for a non-edge."""
-        fwd = self._fwd
+        rows = self.rows
         if u < 0 or v < 0:  # a list index would wrap around
             raise KeyError((u, v))
         try:
-            row = fwd[u]
-            return row[v] if v in row else fwd[v][u]
+            row = rows[u]
+            return row[v] if v in row else rows[v][u]
         except IndexError:
             raise KeyError((u, v)) from None
-
-    def rows(self) -> list[dict[int, int]]:
-        """Every node's {forward neighbour: p} dict, indexed by id. The
-        dicts are the table's own, so flips show in them. Treat as
-        read-only."""
-        return self._fwd
-
-    def __len__(self) -> int:
-        return self.graph.edge_count
 
     def apply_flip(self, u: int, v: int) -> int:
         """Flip edge {u,v} in the tracked graph and patch the table.
@@ -179,15 +171,15 @@ class TwoPathTable:
         """
         g = self.graph
         a = g.flip_edge(u, v)
-        fwd = self._fwd
-        p_u, p_v = fwd[u], fwd[v]
+        rows = self.rows
+        p_u, p_v = rows[u], rows[v]
         d = a * (p_u[v] if v in p_u else p_v[u])
         self.census = (self.census[0] - d, self.census[1] + d)
         adj_u = g.adjacency(u)
         adj_v = g.adjacency(v)
         step = 2 * a
         for w in adj_u.keys() & adj_v.keys():
-            p_w = fwd[w]
+            p_w = rows[w]
             # paths w - u - v: hop a_uv changed by -2a, scaled by a_wu
             if v in p_w:
                 p_w[v] -= step * adj_u[w]

@@ -32,7 +32,7 @@ from .attack import (
     run_attack_budgets,
 )
 from .balance import balance_degree
-from .graph import SignedGraph, load_edge_list, load_rating_csv, write_edge_list
+from .graph import ParseError, SignedGraph, load_edge_list, load_rating_csv, write_edge_list
 
 log = logging.getLogger("balattack")
 
@@ -180,23 +180,30 @@ def _resolve_format(path: str, fmt: str | None) -> str:
 
 
 def _load_graph(path: str, fmt: str) -> SignedGraph:
+    """Load the graph at `path`. A truncated or corrupt .gz is a ParseError
+    naming the path."""
     t0 = time.perf_counter()
-    opener = open
+    opener, corrupt = open, ()  # an empty tuple catches nothing
     if path.lower().endswith(".gz"):
-        from gzip import open as opener  # only compressed inputs need it
-    with opener(path, "rt", encoding="utf-8", newline="") as f:
-        if fmt == "rating-csv":
-            g, stats = load_rating_csv(f)
-            log.info(
-                "loaded %s: %d rows -> n=%d m=%d (+%d/-%d); %d merged rows, "
-                "%d zero ratings, %d self-loops, %d zero-sum pairs dropped",
-                path, stats.rows, stats.nodes, stats.edges, stats.pos_edges,
-                stats.neg_edges, stats.merged_rows, stats.zero_rating_rows,
-                stats.self_loop_rows, stats.zero_sum_pairs,
-            )
-        else:
-            g = load_edge_list(f)
-            log.info("loaded %s: n=%d m=%d", path, g.node_count, g.edge_count)
+        from gzip import BadGzipFile, open as opener  # only compressed inputs need these
+        from zlib import error as zlib_error
+        corrupt = (EOFError, BadGzipFile, zlib_error)
+    try:
+        with opener(path, "rt", encoding="utf-8", newline="") as f:
+            if fmt == "rating-csv":
+                g, stats = load_rating_csv(f)
+                log.info(
+                    "loaded %s: %d rows -> n=%d m=%d (+%d/-%d); %d merged rows, "
+                    "%d zero ratings, %d self-loops, %d zero-sum pairs dropped",
+                    path, stats.rows, stats.nodes, stats.edges, stats.pos_edges,
+                    stats.neg_edges, stats.merged_rows, stats.zero_rating_rows,
+                    stats.self_loop_rows, stats.zero_sum_pairs,
+                )
+            else:
+                g = load_edge_list(f)
+                log.info("loaded %s: n=%d m=%d", path, g.node_count, g.edge_count)
+    except corrupt as exc:
+        raise ParseError(f"{path}: truncated or corrupt gzip data: {exc}") from None
     log.info("load took %.2fs", time.perf_counter() - t0)
     return g
 
@@ -443,7 +450,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

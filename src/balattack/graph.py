@@ -228,43 +228,48 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
     External ids are compacted to 0..n-1 in first appearance order and kept
     in `node_labels`. Nodes seen only in dropped rows are omitted.
 
-    Returns the graph and the load statistics. Raises ParseError with a line
-    number for malformed rows, for nan, infinite or zero-denominator ratings,
-    exponents past MAX_RATING_EXPONENT and ratings with too many digits, or
-    on input with no data rows.
+    Returns the graph and the load statistics. Raises ParseError for rows
+    the csv module refuses (a field past `csv.field_size_limit()`), for
+    malformed rows, for nan, infinite or zero-denominator ratings, exponents
+    past MAX_RATING_EXPONENT and ratings with too many digits, each with the
+    number of the line the row ends on; or on input with no data rows.
     """
     import csv  # only rating CSVs need it
     sums: dict[tuple[str, str], int | Fraction] = {}
     get = sums.get
     rows = self_loops = zero_ratings = 0
     header_skipped = False
-    for lineno, row in enumerate(csv.reader(stream), 1):
-        try:
-            rating: int | Fraction = int(row[2])
-        except (IndexError, ValueError):
-            if not any(f.strip() for f in row):
-                continue  # blank row
+    reader = csv.reader(stream)  # its line_num counts the lines a quoted field spans
+    try:
+        for i, row in enumerate(reader, 1):
             try:
-                rating = parse_fraction(row[2], "rating")
-            except ParseError as exc:
-                raise ParseError(str(exc), lineno) from None
+                rating: int | Fraction = int(row[2])
             except (IndexError, ValueError):
-                if lineno == 1:
-                    header_skipped = True
-                    continue
-                problem = (f"non-numeric rating {row[2]!r}" if len(row) >= 3 else
-                           f"expected source,target,rating[,time], got {len(row)} fields")
-                raise ParseError(problem, lineno) from None
-        rows += 1
-        src, dst = row[0].strip(), row[1].strip()
-        if src == dst:
-            self_loops += 1
-            continue
-        if not rating:
-            zero_ratings += 1
-            continue
-        key = (src, dst) if src <= dst else (dst, src)
-        sums[key] = get(key, 0) + rating
+                if not any(f.strip() for f in row):
+                    continue  # blank row
+                try:
+                    rating = parse_fraction(row[2], "rating")
+                except ParseError as exc:
+                    raise ParseError(str(exc), reader.line_num) from None
+                except (IndexError, ValueError):
+                    if i == 1:
+                        header_skipped = True
+                        continue
+                    problem = (f"non-numeric rating {row[2]!r}" if len(row) >= 3 else
+                               f"expected source,target,rating[,time], got {len(row)} fields")
+                    raise ParseError(problem, reader.line_num) from None
+            rows += 1
+            src, dst = row[0].strip(), row[1].strip()
+            if src == dst:
+                self_loops += 1
+                continue
+            if not rating:
+                zero_ratings += 1
+                continue
+            key = (src, dst) if src <= dst else (dst, src)
+            sums[key] = get(key, 0) + rating
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise ParseError(str(exc), reader.line_num) from None
     if rows == 0:
         raise ParseError("empty input: no data rows")
 

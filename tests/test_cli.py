@@ -110,6 +110,39 @@ class TestStats:
         assert main(["stats", "--input", str(upper)]) == 0
         assert "d3=1.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name, message", [
+        ("wide.csv", "line 2: field larger than field limit (131072)"),
+        ("short.csv.gz", "{path}: truncated or corrupt gzip data: "
+         "Compressed file ended before the end-of-stream marker was reached"),
+        ("flipped.csv.gz", "{path}: truncated or corrupt gzip data: "
+         "Error -3 while decompressing data: "),
+        ("bad-crc.csv.gz", "{path}: truncated or corrupt gzip data: CRC check failed "),
+        ("ids.edges", "line 1: header declares 2 nodes but ids reach 2"),
+    ], ids=["wide-field", "truncated-gz", "corrupt-gz", "bad-crc-gz", "header-below-ids"])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, name, message):
+        path = tmp_path / name
+        ratings = "".join(f"{i},{i + 1},{1 if i % 3 else -1}\n" for i in range(3000)).encode()
+        packed = gzip.compress(ratings, mtime=0)
+        path.write_bytes({
+            "wide.csv": b"a,b,1\nc," + b"x" * 200_000 + b",1\n",
+            "short.csv.gz": packed[:len(packed) // 2],
+            "flipped.csv.gz": packed[:40] + bytes([packed[40] ^ 0xFF]) + packed[41:],
+            "bad-crc.csv.gz": packed[:-8] + bytes([packed[-8] ^ 0xFF]) + packed[-7:],
+            "ids.edges": b"# nodes=2\n0 2 +1\n",
+        }[name])
+        assert main(["stats", "--input", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + message.format(path=path)), err
+
+    def test_a_key_error_is_a_bug_and_propagates(self, k3_file, monkeypatch):
+        def broken(*args):
+            raise KeyError((3, 4))  # as TwoPathTable.get does for a non-edge
+            yield
+
+        monkeypatch.setattr(cli, "_stats_outputs", broken)
+        with pytest.raises(KeyError):
+            main(["stats", "--input", str(k3_file)])
+
 
 class TestAttack:
     def test_single_budget_outputs(self, clustered_file, tmp_path, capsys):
@@ -417,10 +450,26 @@ class TestRerun:
         assert "DIFFERS" in capsys.readouterr().out
         assert main(["rerun", "--manifest", manifest]) == 0
         assert "reproduced" in capsys.readouterr().out
+        out_graph.write_bytes(original + b"\n")  # a difference in whitespace alone
+        assert main(["rerun", "--manifest", manifest]) == 1
+        assert capsys.readouterr().out == f"{out_graph} DIFFERS\n"
         out_graph.unlink()  # a missing output is written again
         assert main(["rerun", "--manifest", manifest]) == 0
         assert capsys.readouterr().out == f"{out_graph} created\n"
         assert out_graph.read_bytes() == original
+
+    def test_input_changed_past_its_first_mib(self, tmp_path, capsys):
+        # the digest reads the input in 1 MiB chunks; an edit in a later one,
+        # at the same size, is still a changed input
+        path = tmp_path / "k3.edges"
+        comment = "# " + "x" * (1 << 20) + "\n"
+        path.write_text(K3_TEXT + comment)
+        out = tmp_path / "report.csv"
+        assert main(["stats", "--input", str(path), "--out-csv", str(out)]) == 0
+        path.write_text(K3_TEXT + comment[:-2] + "y\n")
+        capsys.readouterr()
+        assert main(["rerun", "--manifest", str(out) + ".manifest.json"]) == 1
+        assert capsys.readouterr().out == f"{path} INPUT CHANGED\n"
 
     def test_missing_manifest(self, tmp_path, capsys):
         assert main(["rerun", "--manifest", str(tmp_path / "no.json")]) == 1

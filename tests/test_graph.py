@@ -237,6 +237,14 @@ class TestLoadRatingCsv:
             load_rating_csv(io.StringIO("1,2,3\n4,5\n"))
         with pytest.raises(ParseError, match="line 3"):
             load_rating_csv(io.StringIO("1,2,3\n4,5,1\n6,7,zebra\n"))
+        # A quoted field may span lines; a row's line is the one it ends on.
+        spanning = 'a,b,1\n"c\nd",e,1\n'
+        with pytest.raises(ParseError, match="^line 4: non-numeric rating 'x'$"):
+            load_rating_csv(io.StringIO(spanning + "f,g,x\n"))
+        with pytest.raises(ParseError, match="^line 4: zero denominator in rating '1/0'$"):
+            load_rating_csv(io.StringIO(spanning + "f,g,1/0\n"))
+        with pytest.raises(ParseError, match=r"^line 2: field larger than field limit \(131072\)$"):
+            load_rating_csv(io.StringIO("a,b,1\nc," + "x" * 200_000 + ",1\n"))
 
     def test_blank_lines_ignored(self):
         g, stats = load_rating_csv(io.StringIO("1,2,3\n\n\n2,3,1\n"))
@@ -306,6 +314,7 @@ class TestEdgeList:
             ("0 +1 -1\n", "^line 1: non-integer node id"),
             ("# nodes=\u0665\n0 1 +1\n", "^line 1: non-integer node count"),
             ("# nodes=2\n0 5 +1\n", "declares"),
+            ("# nodes=2\n0 2 +1\n", "^line 1: header declares 2 nodes but ids reach 2$"),
             ("0 1 +1\n# nodes=2\n0 5 +1\n", "^line 2: header declares 2 nodes but ids reach 5$"),
             ("# nodes=3\n# nodes=9\n0 1 +1\n", r"^line 2: second nodes header \(first on line 1\)$"),
             # str.split() and str.strip() take each of these for whitespace
