@@ -148,12 +148,11 @@ class AttackTrace(NamedTuple):
             )
 
 
-def _scored_candidates(
-    adj: list[dict[int, int]], table: TwoPathTable
-) -> list[tuple[int, int, int]]:
-    """(-a_uv * p_uv, u, v) with u < v for every edge whose flip strictly
-    lowers tr(A^3), i.e. a_uv * p_uv > 0 (which excludes p_uv = 0). Read
-    from the table's rows, in no particular order."""
+def _scored_candidates(table: TwoPathTable) -> list[tuple[int, int, int]]:
+    """(-a_uv * p_uv, u, v) with u < v for every edge of the table's graph
+    whose flip strictly lowers tr(A^3), i.e. a_uv * p_uv > 0 (which
+    excludes p_uv = 0). Read from the table's rows, in no particular order."""
+    adj = table.graph.adjacencies()
     return [
         (-s, u, v) if u < v else (-s, v, u)
         for u, row in enumerate(table.rows)
@@ -163,11 +162,14 @@ def _scored_candidates(
 
 
 def select_candidates(g: SignedGraph, table: TwoPathTable) -> set[tuple[int, int]]:
-    """Edges whose flip strictly lowers tr(A^3): those with a_uv * p_uv > 0.
+    """Edges of g whose flip strictly lowers tr(A^3): those with
+    a_uv * p_uv > 0. ValueError unless `table` was built on g itself.
 
     Zero two-path sums are excluded — flipping them changes nothing.
     """
-    return {(u, v) for _, u, v in _scored_candidates(g.adjacencies(), table)}
+    if table.graph is not g:
+        raise ValueError("the two-path table was built on another graph")
+    return {(u, v) for _, u, v in _scored_candidates(table)}
 
 
 def _flip(
@@ -197,9 +199,9 @@ class _CandidateHeap:
     """
 
     def __init__(self, table: TwoPathTable):
-        self.adj = adj = table.graph.adjacencies()
+        self.adj = table.graph.adjacencies()
         self.table = table
-        self.heap = _scored_candidates(adj, table)
+        self.heap = _scored_candidates(table)
         heapq.heapify(self.heap)
         self.pops = 0
         self.stale = 0

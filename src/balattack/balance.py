@@ -125,28 +125,23 @@ class TwoPathTable:
     recomputed. Each edge is stored once, in the triangle walk's rank
     orientation: `rows[u][v]` for the end v ranked above u (see
     `count_signed_triangles`). `rows` is the table's own list of dicts,
-    indexed by id, so flips show in it; treat it as read-only. The table
-    tracks one specific graph object; `apply_flip` mutates both in
+    indexed by id, so flips show in it; treat it as read-only. Only
+    `from_graph` makes a table, so it tracks the one graph object its rows
+    and census were walked on, `graph`; `apply_flip` mutates both in
     lock-step and keeps `census` exact. A run that must leave its input
     alone builds the table on a copy of the graph.
     """
 
     __slots__ = ("graph", "rows", "census")
 
-    def __init__(
-        self, graph: SignedGraph, rows: list[dict[int, int]], census: tuple[int, int]
-    ):
-        self.graph = graph
-        self.rows = rows
-        self.census = census
-
     @classmethod
     def from_graph(cls, g: SignedGraph) -> "TwoPathTable":
         """Build the table and the census in one triangle walk: every
         two-path of an edge closes a triangle through it."""
-        rows: list[dict[int, int]] = []
-        census = count_signed_triangles(g, fill=rows)
-        return cls(g, rows, census)
+        table = cls.__new__(cls)
+        table.graph, table.rows = g, []
+        table.census = count_signed_triangles(g, fill=table.rows)
+        return table
 
     def get(self, u: int, v: int) -> int:
         """p_uv of edge {u,v}, in either order; KeyError for a non-edge."""

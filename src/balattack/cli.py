@@ -189,14 +189,14 @@ def _load_graph(path: str, fmt: str) -> SignedGraph:
         from zlib import error as zlib_error
         corrupt = (EOFError, BadGzipFile, zlib_error)
     try:
-        with opener(path, "rt", encoding="utf-8", newline="") as f:
+        with opener(path, "rt", encoding="utf-8", errors="surrogateescape", newline="") as f:
             if fmt == "rating-csv":
                 g, stats = load_rating_csv(f)
                 log.info(
                     "loaded %s: %d rows -> n=%d m=%d (+%d/-%d); %d merged rows, "
                     "%d zero ratings, %d self-loops, %d zero-sum pairs dropped",
-                    path, stats.rows, stats.nodes, stats.edges, stats.pos_edges,
-                    stats.neg_edges, stats.merged_rows, stats.zero_rating_rows,
+                    path, stats.rows, g.node_count, g.edge_count, g.pos_edge_count,
+                    g.neg_edge_count, stats.merged_rows, stats.zero_rating_rows,
                     stats.self_loop_rows, stats.zero_sum_pairs,
                 )
             else:

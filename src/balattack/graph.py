@@ -93,10 +93,10 @@ class SignedGraph:
         g._adj, g._m, g._pos, g.node_labels = adj, m, pos, labels
         return g
 
-    def _without(self, edges: Iterable[tuple[int, int, int]]) -> "SignedGraph":
-        """A copy without the listed edges, given as `edges()` yields them
-        and each at most once; their signs are read from this graph. The
-        copy carries no node labels."""
+    def without(self, edges: Iterable[tuple[int, int, int]]) -> "SignedGraph":
+        """A copy with the same node count, less the listed edges: each at
+        most once, as `edges()` yields them, signs read from this graph. The
+        copy carries no node labels, and this graph is left unchanged."""
         adj = [dict(d) for d in self._adj]
         m, pos = self._m, self._pos
         for u, v, _s in edges:
@@ -174,7 +174,7 @@ class SignedGraph:
 
 
 class LoadStats(NamedTuple):
-    """Bookkeeping from a rating-CSV load."""
+    """What became of a rating CSV's rows; the graph keeps its own counts."""
 
     rows: int = 0
     header_skipped: bool = False
@@ -182,10 +182,6 @@ class LoadStats(NamedTuple):
     self_loop_rows: int = 0
     merged_rows: int = 0
     zero_sum_pairs: int = 0
-    nodes: int = 0
-    edges: int = 0
-    pos_edges: int = 0
-    neg_edges: int = 0
 
 
 def parse_fraction(text: str, what: str) -> Fraction:
@@ -232,7 +228,10 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
     the csv module refuses (a field past `csv.field_size_limit()`), for
     malformed rows, for nan, infinite or zero-denominator ratings, exponents
     past MAX_RATING_EXPONENT and ratings with too many digits, each with the
-    number of the line the row ends on; or on input with no data rows.
+    number of the line the row ends on; on input with no data rows; and,
+    naming it but no line, for a node id of an edge that is not printable
+    after stripping: a byte-order mark, a control character, or a byte that
+    is not UTF-8 (as errors="surrogateescape" reads it).
     """
     import csv  # only rating CSVs need it
     sums: dict[tuple[str, str], int | Fraction] = {}
@@ -290,12 +289,12 @@ def load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadStats]:
             adj[u][v] = adj[v][u] = s = 1 if total > 0 else -1
             m += 1
             pos += s > 0
+    if not all(map(str.isprintable, ids)):  # once per distinct label, not per row
+        label = next(x for x in ids if not x.isprintable())
+        raise ParseError(f"node id {label!r} is not printable UTF-8 text")
     g = SignedGraph._adopt(adj, m, pos, list(ids))
     merged = rows - self_loops - zero_ratings - len(sums)  # each other row met its pair
-    return g, LoadStats(
-        rows, header_skipped, zero_ratings, self_loops, merged, len(sums) - m,
-        g.node_count, m, pos, m - pos,
-    )
+    return g, LoadStats(rows, header_skipped, zero_ratings, self_loops, merged, len(sums) - m)
 
 
 def load_edge_list(stream: Iterable[str]) -> SignedGraph:
@@ -325,6 +324,9 @@ def load_edge_list(stream: Iterable[str]) -> SignedGraph:
         if not line.isprintable() and not line.replace("\t", " ").isprintable():
             # str.split() would take \x1c or U+3000 for a separator
             bad = next(c for c in line if c != "\t" and not c.isprintable())
+            # errors="surrogateescape" reads a byte that is not UTF-8 as U+DC80..U+DCFF
+            if "\udc80" <= bad <= "\udcff":
+                raise ParseError(f"byte 0x{ord(bad) - 0xDC00:02x} is not UTF-8", lineno)
             raise ParseError(f"character {bad!r} is not allowed: fields are separated "
                              "by ASCII spaces and tabs", lineno)
         if line.startswith("#"):

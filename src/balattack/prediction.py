@@ -55,7 +55,7 @@ def split_edges(
         j = randrange(i + 1)
         edges[i], edges[j] = edges[j], edges[i]
     test_edges = tuple(edges[n_train:])
-    return EdgeSplit(train=g._without(test_edges), test_edges=test_edges)
+    return EdgeSplit(train=g.without(test_edges), test_edges=test_edges)
 
 
 class EvalReport(NamedTuple):

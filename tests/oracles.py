@@ -264,10 +264,6 @@ def reference_load_rating_csv(stream: Iterable[str]) -> tuple[SignedGraph, LoadS
         self_loop_rows=self_loop_rows,
         merged_rows=merged_rows,
         zero_sum_pairs=zero_sum_pairs,
-        nodes=g.node_count,
-        edges=g.edge_count,
-        pos_edges=g.pos_edge_count,
-        neg_edges=g.neg_edge_count,
     )
 
 

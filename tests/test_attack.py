@@ -125,6 +125,12 @@ class TestSelectCandidates:
         star = SignedGraph(5, [(0, i, 1) for i in range(1, 5)])
         assert select_candidates(star, TwoPathTable.from_graph(star)) == set()
 
+    def test_table_of_another_graph_refused(self):
+        # An equal copy too: its signs need not follow the table's flips.
+        g = k3()
+        with pytest.raises(ValueError, match="built on another graph"):
+            select_candidates(g.copy(), TwoPathTable.from_graph(g))
+
     def test_matches_definition_on_random_graphs(self):
         rng = random.Random(37)
         for _ in range(10):

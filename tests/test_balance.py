@@ -139,6 +139,11 @@ class TestTwoPaths:
         with pytest.raises(KeyError):
             t.get(0, 3)
 
+    def test_only_from_graph_makes_a_table(self):
+        # Rows and a census are only right beside the graph they were walked on.
+        with pytest.raises(TypeError):
+            TwoPathTable(SignedGraph(3, K3), [], (0, 0))
+
     def test_every_non_edge_lookup_is_a_key_error(self):
         # Node 4's row holds node 2, so get(-1, 2) would read edge {4, 2}
         # if the id wrapped around the list of rows.

@@ -118,7 +118,12 @@ class TestStats:
          "Error -3 while decompressing data: "),
         ("bad-crc.csv.gz", "{path}: truncated or corrupt gzip data: CRC check failed "),
         ("ids.edges", "line 1: header declares 2 nodes but ids reach 2"),
-    ], ids=["wide-field", "truncated-gz", "corrupt-gz", "bad-crc-gz", "header-below-ids"])
+        ("bom.csv", "node id '\\ufeff1' is not printable UTF-8 text"),
+        ("high-byte.edges", "line 2: byte 0xff is not UTF-8"),
+        ("high-byte-id.csv", "node id 'c\\udcff' is not printable UTF-8 text"),
+        ("high-byte-rating.csv", "line 2: non-numeric rating '\\udcff1'"),
+    ], ids=["wide-field", "truncated-gz", "corrupt-gz", "bad-crc-gz", "header-below-ids",
+            "byte-order-mark-id", "not-utf-8-edge-list", "not-utf-8-id", "not-utf-8-rating"])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, name, message):
         path = tmp_path / name
         ratings = "".join(f"{i},{i + 1},{1 if i % 3 else -1}\n" for i in range(3000)).encode()
@@ -129,6 +134,10 @@ class TestStats:
             "flipped.csv.gz": packed[:40] + bytes([packed[40] ^ 0xFF]) + packed[41:],
             "bad-crc.csv.gz": packed[:-8] + bytes([packed[-8] ^ 0xFF]) + packed[-7:],
             "ids.edges": b"# nodes=2\n0 2 +1\n",
+            "bom.csv": b"\xef\xbb\xbf1,2,1\n2,3,1\n3,1,1\n1,3,1\n",
+            "high-byte.edges": b"0 1 +1\n2\xff 3 +1\n",
+            "high-byte-id.csv": b"a,b,1\nc\xff,d,1\n",
+            "high-byte-rating.csv": b"a,b,1\nc,d,\xff1\n",
         }[name])
         assert main(["stats", "--input", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()

@@ -94,6 +94,18 @@ class TestSignedGraph:
         assert h.sign(0, 1) == -1
         assert h.node_labels == ["a", "b", "c"]
 
+    def test_without_drops_listed_edges_and_reads_signs_from_the_graph(self):
+        labels = ["a", "b", "c", "d", "e"]
+        g = SignedGraph(5, [(0, 1, 1), (0, 2, -1), (1, 2, 1), (2, 3, -1)], labels)
+        before = list(g.edges())
+        # the triples' signs are ignored: the graph's own are dropped
+        h = g.without([(0, 2, 1), (2, 3, 1)])
+        assert h.node_count == 5 and h.node_labels is None
+        assert list(h.edges()) == [(0, 1, 1), (1, 2, 1)]
+        assert (h.edge_count, h.pos_edge_count, h.neg_edge_count) == (2, 2, 0)
+        assert list(g.edges()) == before and g.node_labels == labels
+        assert g.without([]) == g
+
     def test_equality_ignores_labels(self):
         g = SignedGraph(3, K3_EDGES, node_labels=["a", "b", "c"])
         h = SignedGraph(3, K3_EDGES)
@@ -222,9 +234,22 @@ class TestLoadRatingCsv:
         assert (stats.rows, stats.merged_rows, stats.zero_rating_rows) == (3, 1, 1)
         assert g.node_labels == ["a", "b"] and g.sign(0, 1) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("\ufeff1,2,1\n2,3,1\n3,1,1\n1,3,1\n", r"node id '\\ufeff1' is not printable UTF-8 text"),
+        ("a,b,1\nc\x00,d,1\n", r"node id 'c\\x00' is not printable UTF-8 text"),
+        # \x1c is padding to str.strip(), as in a rating, but not inside an id
+        ("a,b,1\nc\x1cd,e\x1c,1\n", r"node id 'c\\x1cd' is not printable UTF-8 text"),
+        # a byte that is not UTF-8, as errors="surrogateescape" reads it
+        ("a,b,1\nc\udcff,d,1\n", r"node id 'c\\udcff' is not printable UTF-8 text"),
+    ], ids=["byte-order-mark", "nul", "file-separator-inside", "not-utf-8"])
+    def test_unprintable_id_rejected_by_name(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$") as exc:
+            load_rating_csv(io.StringIO(text))
+        assert exc.value.line is None
+
     def test_stats_totals(self):
-        _, stats = load_rating_csv(io.StringIO("1,2,1\n3,4,-2\n4,3,-2\n"))
-        assert (stats.nodes, stats.edges, stats.pos_edges, stats.neg_edges) == (4, 2, 1, 1)
+        g, _ = load_rating_csv(io.StringIO("1,2,1\n3,4,-2\n4,3,-2\n"))
+        assert (g.node_count, g.edge_count, g.pos_edge_count, g.neg_edge_count) == (4, 2, 1, 1)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError, match="empty input"):
@@ -323,6 +348,8 @@ class TestEdgeList:
             ("0\u30001\u3000+1\n", r"^line 1: character '\\u3000' is not allowed"),
             ("0 1 +1\x85\n", r"^line 1: character '\\x85' is not allowed"),
             ("\x0c0 1 +1\n", r"^line 1: character '\\x0c' is not allowed"),
+            # a byte that is not UTF-8, as errors="surrogateescape" reads it
+            ("0 1 +1\n2\udcff 3 +1\n", "^line 2: byte 0xff is not UTF-8$"),
             # past CPython's int-string digit limit, where int() raises
             pytest.param("# nodes=" + "9" * 5000 + "\n0 1 +1\n",
                          "^line 1: node count has too many digits$", id="count-5000-digits"),
